@@ -24,7 +24,7 @@ SF_DIR = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
 NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
 # Web density (~64 links/page, Common-Crawl-like) rather than the sparse
 # 8-links default of the headline. 150k pages ≈ 9.6M links: big enough
-# that the engine's auto pool cap (sqrt(E)/dense_worker_cost, see
+# that the engine's auto pool cap (sqrt(E)/_DENSE_WORKER_COST in
 # engine_resident.py) DIFFERS across the two CPU levels (W≈6 at 8 CPUs
 # vs W≈13 at 32), so the strong-scaling run exercises engine
 # parallelism, not just the build. The per-superstep floor itself is
@@ -511,8 +511,8 @@ def run_rmat(num_cpus: int, scale: int = 18, n_edges: int = 5_000_000) -> dict:
     """Hub-skew stress: PageRank over a deterministic R-MAT graph
     (a=0.57 — far heavier-tailed than the web-density pages synth).
     Evidences the two skew paths: the resident engine's dense bincount
-    exchange (hub-oblivious), and the durable executor's salted
-    two-stage aggregation (salt_buckets A/B at fixed k supersteps)."""
+    exchange (hub-oblivious), and the durable executor's per-block
+    combiner pre-aggregation (timed at fixed k supersteps)."""
     import time
 
     from signal_collect_ray import EngineConfig, Graph, SuperstepEngine
@@ -536,7 +536,7 @@ def run_rmat(num_cpus: int, scale: int = 18, n_edges: int = 5_000_000) -> dict:
     out["n_vertices"] = g.num_vertices
     out["n_edges"] = g.num_edges
     # multiplicity-inclusive in-degree — the graph is built dedup=False,
-    # so this is the actual largest collect group the A/B below stresses
+    # so this is the largest raw signal group the runs below combine
     from signal_collect_ray.algorithms.triangles import _sum_by_key
 
     def ones(tbl):
@@ -568,19 +568,11 @@ def run_rmat(num_cpus: int, scale: int = 18, n_edges: int = 5_000_000) -> dict:
         g.num_edges * info.supersteps / pr_s
     )
 
-    for salt in (1, 8):
-        t0 = time.perf_counter()
-        eng_d = SuperstepEngine(
-            EngineConfig(num_partitions=P, eps=0.0, max_supersteps=3,
-                         salt_buckets=salt)
-        )
-        eng_d.run(
-            g, PageRank(), run_dir=os.path.join(work, f"run_d{salt}"),
-            resume=False,
-        )
-        out[f"durable_k3_salt{salt}_sec"] = round(
-            time.perf_counter() - t0, 3
-        )
+    t0 = time.perf_counter()
+    SuperstepEngine(
+        EngineConfig(num_partitions=P, eps=0.0, max_supersteps=3)
+    ).run(g, PageRank(), run_dir=os.path.join(work, "run_d"), resume=False)
+    out["durable_k3_sec"] = round(time.perf_counter() - t0, 3)
     return out
 
 

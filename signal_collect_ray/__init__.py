@@ -5,7 +5,7 @@ capabilities of uzh/signal-collect (vertex-centric signal/collect model,
 reference at /root/reference) re-expressed Ray-Data-first:
 
 * each superstep = one Ray Data pipeline:
-  ``read_parquet(state checkpoint) → map_batches(SignalStage actor pool
+  ``read_parquet(state checkpoint) → map_batches(SignalStage tasks
   over CSR edge partitions, zero-copy Arrow) → groupby(dst_part)
   shuffle of pre-combined signals → map_groups(collect: vectorized
   per-partition state update + Parquet checkpoint shard + lineage and

@@ -3,24 +3,13 @@
 Mirrors the knobs of the reference's ``ExecutionConfiguration.scala``
 (signalThreshold default 0.01, collectThreshold 0.0, steps/time limits —
 lines 31, 46-52, 86-97) plus the Ray-Data-specific physical knobs
-(partition count, actor-pool sizing, checkpoint cadence).
+(partition count, checkpoint cadence and retention, resident-worker
+recovery).
 """
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, field
-
-
-def _default_parallelism() -> int:
-    try:
-        import ray
-
-        if ray.is_initialized():
-            return max(1, int(ray.available_resources().get("CPU", 4)))
-    except Exception:
-        pass
-    return max(1, (os.cpu_count() or 4) // 2)
+from dataclasses import dataclass
 
 
 @dataclass
@@ -66,16 +55,7 @@ class EngineConfig:
     # (resume point + one predecessor) is safe; at 10^12 vertices a
     # 100-superstep run cannot afford 100 full state copies. Pruning
     # happens strictly after the newer manifest lands (crash-safe).
-    checkpoint_retain: Optional[int] = None
-
-    # Signal-stage compute strategy. "tasks" (default) runs the signal
-    # stage as stateless tasks — lowest per-superstep latency, CSR blocks
-    # still come zero-copy from the object store. "actors" runs it as a
-    # map_batches actor pool (CSR object-store handles cached per actor)
-    # — better when a superstep has many blocks per partition.
-    signal_mode: str = "tasks"
-    # Actor pool size when signal_mode="actors" (None → autoscale).
-    signal_concurrency: int | tuple[int, int] | None = None
+    checkpoint_retain: int | None = None
 
     # Undeliverable-signal handler (reference Handlers.scala:26-64 /
     # DefaultHandlerFactory): "drop" (count in manifests — our default),
@@ -85,42 +65,6 @@ class EngineConfig:
     # honored by the durable SuperstepEngine; the resident executor's
     # dense path requires a closed vertex set and supports "drop" only.
     on_undeliverable: str = "drop"
-
-    # Resident-executor dense-path pool sizing (AUTO mode only — an
-    # explicit ResidentEngine(num_workers=...) is honored up to CPUs and
-    # partitions). Per-step cost ≈ α·W (exchange objects + barrier
-    # straggler tail) + E/(W·σ) (scatter compute), so the auto optimum
-    # scales as sqrt(E)/C where C folds the measured α/σ ratio of the
-    # host. 250 is the single-node measurement (engine_resident.py); on
-    # a cluster with different interconnect α, tune it here or via the
-    # SCRAY_DENSE_WORKER_COST env var. The engine logs whenever this cap
-    # (not CPUs/partitions) is what bounds the pool.
-    dense_worker_cost: float = field(
-        default_factory=lambda: float(os.environ.get("SCRAY_DENSE_WORKER_COST", "250"))
-    )
-
-    # Salted two-stage signal aggregation (hub-skew handling, north
-    # rule): when > 1, signal rows are pre-combined per
-    # (dst_part, hash(dst) % salt_buckets) bucket before the final
-    # groupby(dst_part) — the largest collect group is then bounded by
-    # the partition's distinct-dst count (≤ V/P) regardless of how many
-    # signal blocks fed it. Worth turning on when blocks-per-superstep is
-    # large (web-scale inputs); off by default because the extra exchange
-    # costs more than it saves at test scale.
-    salt_buckets: int = 1
-
-    # AUTO-salting (durable engine): when True, the per-partition
-    # ``signal_rows_in`` census of each superstep manifest is watched,
-    # and the first time the hottest partition exceeds
-    # ``auto_salt_skew`` × the median, salted two-stage aggregation
-    # (``auto_salt_buckets``) switches on for every subsequent
-    # superstep — the decision is recorded in that step's manifest
-    # (``auto_salt`` key, resume-safe) so a restarted run stays salted.
-    # The skew signal is free: the census already rides the collect
-    # metrics rows. Static ``salt_buckets`` > 1 takes precedence.
-    auto_salt: bool = False
-    auto_salt_skew: float = 4.0
-    auto_salt_buckets: int = 8
 
     # Resident-executor fault tolerance: when a worker actor dies
     # mid-run (node loss, OOM kill), ResidentEngine.run rebuilds the
@@ -132,12 +76,3 @@ class EngineConfig:
 
     # Where runs live unless an explicit run_dir is passed.
     checkpoint_root: str = "/tmp/scray_runs"
-
-    # Pool sizing hint; resolved lazily against the live Ray session.
-    parallelism: int = field(default_factory=_default_parallelism)
-
-    def resolved_signal_concurrency(self):
-        if self.signal_concurrency is not None:
-            return self.signal_concurrency
-        n = min(self.num_partitions, _default_parallelism())
-        return (1, max(1, n))

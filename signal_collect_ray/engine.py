@@ -6,7 +6,7 @@ collectStep loop (``DefaultGraph.scala:311-343``,
 pipeline:
 
     read_parquet(state checkpoint, one shard per partition)
-      → map_batches(SignalStage, zero-copy Arrow, actor pool)
+      → map_batches(SignalStage, zero-copy Arrow, stateless tasks)
           # per-partition CSR from the object store; emits signal rows
           # ALREADY combiner-pre-aggregated per (block, dst) — this is
           # what makes web-graph hub skew survivable: a hub with 10^8
@@ -167,8 +167,9 @@ class _InitStage:
 class SignalStage:
     """Signal phase: state blocks → pre-combined signal rows.
 
-    Runs as a map_batches actor pool; the per-partition CSR object-store
-    gets are cached per actor (zero-copy numpy views onto shared memory).
+    Runs as stateless map_batches tasks; within one task the
+    per-partition CSR object-store gets are cached (zero-copy numpy views
+    onto shared memory).
     """
 
     __name__ = "SignalStage"
@@ -286,44 +287,6 @@ class SignalStage:
         return pa.concat_tables(pieces)
 
 
-class SaltedPreCombine:
-    """Optional two-stage aggregation (map_groups over
-    ``dst_part * S + hash(dst) % S`` buckets): rows for the same dst
-    always share a bucket, so each bucket combines to one row per dst
-    and the final groupby(dst_part) receives at most the partition's
-    distinct-dst count — hub in-degree and block count no longer matter
-    (north rule: salted repartitioning + combiner pre-aggregation)."""
-
-    __name__ = "SaltedPreCombine"
-
-    def __init__(self, algo: Algorithm, num_partitions: int, part_fn=None):
-        self.algo = algo
-        self.P = num_partitions
-        self.part_fn = part_fn or part_of
-
-    def __call__(self, tbl: pa.Table) -> pa.Table:
-        algo = self.algo
-        d = _to_np_dict(tbl)
-        keep = d["dst"] >= 0
-        seeds = tbl.filter(pa.array(~keep)).drop_columns(["salt_key"])
-        if not keep.any():
-            return seeds
-        dst = d["dst"][keep]
-        vals = {name: d[name][keep] for name, _ in algo.signal_fields}
-        dst_u, combined = algo.combine(dst, vals)
-        # dst_part is a pure function of dst — recompute it rather than
-        # realigning, so combiners that emit multiple rows per dst
-        # (e.g. Chinese Whispers' (dst, label) rows) stay valid.
-        cols = {
-            "dst_part": pa.array(self.part_fn(dst_u, self.P), pa.int32()),
-            "dst": pa.array(dst_u, pa.int64()),
-        }
-        for name, typ in algo.signal_fields:
-            cols[name] = pa.array(combined[name], typ)
-        out = pa.table(cols)
-        return pa.concat_tables([out, seeds]) if len(seeds) else out
-
-
 def _migrate_shard(new_vfile: str, prev_dir: str, algo: Algorithm, out_dir: str) -> dict:
     """Mid-run mutation state migration for one partition: surviving
     vertices keep their state, vertices new to the mutated graph get
@@ -387,16 +350,12 @@ class CollectStage:
         out_dir: str,
         signal_threshold: float,
         on_undeliverable: str = "drop",
-        group_census: bool = False,
     ):
         self.algo = algo
         self.prev_dir = prev_dir
         self.out_dir = out_dir
         self.threshold = signal_threshold
         self.on_undeliverable = on_undeliverable
-        # pre-combine per-dst group-size census (auto-salt detector);
-        # off by default so the standard hot path pays nothing
-        self.group_census = group_census
 
     @staticmethod
     def _empty_prev() -> dict:
@@ -476,16 +435,7 @@ class CollectStage:
         vals = {name: d[name][keep] for name, _ in algo.signal_fields}
         n_sig_rows = int(len(dst))
         undeliverable = 0
-        max_group_rows = 0
         if len(dst):
-            if self.group_census:
-                # pre-combine per-dst group size: the hub-skew census
-                # the auto-salt detector reads (a dst touched by every
-                # signal block shows up here even after per-block
-                # combining flattens the row counts)
-                max_group_rows = int(
-                    np.unique(dst, return_counts=True)[1].max()
-                )
             dst, vals = algo.combine(dst, vals)
             idx = Algorithm._align(prev["vid"], dst)
             bad = idx < 0
@@ -559,13 +509,12 @@ class CollectStage:
             undeliverable,
             collect_s=time.perf_counter() - t_start,
             gpartial=gpartial,
-            max_group_rows=max_group_rows,
         )
 
     @staticmethod
     def _metrics(
         p, n_v, n_act, res, edges_next, sig_rows, undeliv, collect_s=0.0,
-        gpartial="", max_group_rows=0,
+        gpartial="",
     ) -> pa.Table:
         return pa.table(
             {
@@ -578,7 +527,6 @@ class CollectStage:
                 "undeliverable": pa.array([undeliv], pa.int64()),
                 "collect_s": pa.array([collect_s], pa.float64()),
                 "gpartial": pa.array([gpartial], pa.string()),
-                "max_group_rows": pa.array([max_group_rows], pa.int64()),
             }
         )
 
@@ -820,13 +768,6 @@ class SuperstepEngine:
         last = per_step[-1]
         converged = self._is_converged(last, eps, k)
         reason = "Converged" if converged else None
-        # effective salting: static config, or (auto mode) whatever a
-        # resumed manifest already decided — a restarted run stays salted
-        salt_eff = cfg.salt_buckets
-        auto_salt_info = None
-        if cfg.auto_salt and salt_eff <= 1 and last.get("auto_salt"):
-            auto_salt_info = last["auto_salt"]
-            salt_eff = int(auto_salt_info["buckets"])
 
         def mutate(deltas, k_new):
             nonlocal graph, csr_refs, lineage_base, last
@@ -921,60 +862,18 @@ class SuperstepEngine:
             state = rd.read_parquet(
                 sorted(glob.glob(os.path.join(prev_dir, "part-*.parquet")))
             )
-            if cfg.signal_mode == "actors":
-                signals = state.map_batches(
-                    SignalStage,
-                    fn_constructor_kwargs=dict(
-                        csr_refs=csr_refs,
-                        algo=algo,
-                        num_partitions=P,
-                        signal_threshold=threshold,
-                        part_fn=graph.part_fn,
-                    ),
-                    batch_format="pyarrow",
-                    batch_size=None,
-                    zero_copy_batch=True,
-                    concurrency=cfg.resolved_signal_concurrency(),
-                )
-            else:
-                signals = state.map_batches(
-                    SignalStage(
-                        csr_refs=csr_refs,
-                        algo=algo,
-                        num_partitions=P,
-                        signal_threshold=threshold,
-                        part_fn=graph.part_fn,
-                    ),
-                    batch_format="pyarrow",
-                    batch_size=None,
-                    zero_copy_batch=True,
-                )
-            if salt_eff > 1:
-                S = salt_eff
-
-                def add_salt(tbl: pa.Table) -> pa.Table:
-                    dstv = tbl.column("dst").combine_chunks().to_numpy(
-                        zero_copy_only=False
-                    )
-                    with np.errstate(over="ignore"):
-                        h = (dstv.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(33)
-                    dpart = tbl.column("dst_part").combine_chunks().to_numpy(
-                        zero_copy_only=False
-                    ).astype(np.int64)
-                    skey = dpart * S + (h % np.uint64(S)).astype(np.int64)
-                    # seed rows (dst = -1) must reach every bucket's
-                    # pre-combine unharmed — key them by partition alone
-                    skey = np.where(dstv < 0, dpart * S, skey)
-                    return tbl.append_column("salt_key", pa.array(skey, pa.int64()))
-
-                signals = (
-                    signals.map_batches(add_salt, batch_format="pyarrow")
-                    .groupby("salt_key")
-                    .map_groups(
-                        SaltedPreCombine(algo, P, part_fn=graph.part_fn),
-                        batch_format="pyarrow",
-                    )
-                )
+            signals = state.map_batches(
+                SignalStage(
+                    csr_refs=csr_refs,
+                    algo=algo,
+                    num_partitions=P,
+                    signal_threshold=threshold,
+                    part_fn=graph.part_fn,
+                ),
+                batch_format="pyarrow",
+                batch_size=None,
+                zero_copy_batch=True,
+            )
             prev_parts = {p["part"]: p for p in last["parts"]}
             metrics_rows = (
                 signals.groupby("dst_part")
@@ -982,7 +881,6 @@ class SuperstepEngine:
                     CollectStage(
                         algo, prev_dir, step_tmp, threshold,
                         on_undeliverable=cfg.on_undeliverable,
-                        group_census=cfg.auto_salt,
                     ),
                     batch_format="pyarrow",
                 )
@@ -1006,7 +904,6 @@ class SuperstepEngine:
                             "edges_traversed": 0,
                             "signal_rows_in": 0,
                             "undeliverable": 0,
-                            "max_group_rows": 0,
                             # dormant shard = unchanged state ⇒ its
                             # global partial carries forward verbatim
                             "gpartial": m.get("gpartial", ""),
@@ -1017,24 +914,6 @@ class SuperstepEngine:
                 wall_s=time.monotonic() - ts,
             )
             self._reduce_global(algo, manifest)
-            # auto-salt: the signal_rows_in census this manifest already
-            # carries IS the skew detector — trigger once, persist the
-            # decision in every manifest from here on (resume-safe)
-            if cfg.auto_salt and salt_eff <= 1 and auto_salt_info is None:
-                grp = sorted(
-                    int(p.get("max_group_rows", 0)) for p in manifest["parts"]
-                )
-                med = grp[len(grp) // 2] if grp else 0
-                if grp and grp[-1] > cfg.auto_salt_skew * max(1, med):
-                    salt_eff = max(2, cfg.auto_salt_buckets)
-                    auto_salt_info = {
-                        "enabled_after_superstep": k,
-                        "buckets": salt_eff,
-                        "max_group_rows": grp[-1],
-                        "median_group_rows": med,
-                    }
-            if auto_salt_info is not None:
-                manifest["auto_salt"] = auto_salt_info
             self._write_manifest(step_tmp, self._step_dir(run_dir, k), manifest)
             per_step.append(manifest)
             last = manifest
@@ -1117,7 +996,9 @@ class SuperstepEngine:
                     "undeliverable": int(r["undeliverable"]),
                     "signal_s": float(r.get("signal_s", 0.0) or 0.0),
                     "collect_s": float(r.get("collect_s", 0.0) or 0.0),
-                    "max_group_rows": int(r.get("max_group_rows", 0) or 0),
+                    # no per-dst group census runs (per-block combiners
+                    # already bound hub groups); the key stays for readers
+                    "max_group_rows": 0,
                     "gpartial": _coerce_gpartial(r.get("gpartial")),
                 }
                 for r in rows

@@ -51,6 +51,21 @@ from signal_collect_ray.util import expand_ranges, part_of
 
 _logger = logging.getLogger("signal_collect_ray.resident")
 
+# Dense-path auto pool cap: per-step cost ≈ α·W (exchange objects +
+# barrier straggler tail) + E/(W·σ) (scatter compute), so the optimum
+# pool scales as sqrt(E)/C with C folding the measured α/σ ratio. 250 is
+# the single-node measurement (optima E=1.6M→W 5, E=2.6M→W 6,
+# E=9.6M→W 6–16); an explicit ResidentEngine(num_workers=...) overrides.
+_DENSE_WORKER_COST = 250.0
+
+
+def _exchange_mode(dense_capable: bool, manifest: dict, num_vertices: int) -> str:
+    """Dense scatter exchange when the frontier is dense enough that raw
+    signal rows would exceed one dense vector, else sparse rows."""
+    if dense_capable and manifest.get("edges_next", 0) >= num_vertices:
+        return "dense"
+    return "sparse"
+
 
 class _Worker:
     """One resident worker: owns `parts`, their CSR and state arrays."""
@@ -577,7 +592,7 @@ class ResidentEngine:
         self.config = config or EngineConfig()
         # explicit num_workers is HONORED (capped only by CPUs and
         # partitions); None → auto-size with the per-step cost model
-        # (EngineConfig.dense_worker_cost). A hard-coded heuristic
+        # (_DENSE_WORKER_COST). A hard-coded heuristic
         # silently overriding an explicit pool size contradicts the
         # cluster-scale target — the caller may know its interconnect.
         self._explicit_workers = num_workers is not None
@@ -666,21 +681,20 @@ class ResidentEngine:
             # workers the per-worker O(V) term dominates. Per-step cost ≈
             # α·W (exchange objects + barrier straggler tail grows with
             # pool size) + E/(W·σ) (scatter compute) → optimum scales as
-            # sqrt(E)/C with C = EngineConfig.dense_worker_cost (measured
-            # single-node optima: E=1.6M→W 5, E=2.6M→W 6, E=9.6M→W 6–16).
-            # At cluster scale E is orders larger, so this cap stops
-            # binding long before the CPU cap does.
+            # sqrt(E)/_DENSE_WORKER_COST. At cluster scale E is orders
+            # larger, so this cap stops binding long before the CPU cap
+            # does.
             if algo.dense_agg is not None and graph.num_vertices > 0:
                 W = max(1, min(W, graph.num_edges // (2 * graph.num_vertices) + 1))
-                cost = max(cfg.dense_worker_cost, 1e-9)
-                sqrt_cap = max(1, int(np.sqrt(graph.num_edges) / cost) + 1)
+                sqrt_cap = max(
+                    1, int(np.sqrt(graph.num_edges) / _DENSE_WORKER_COST) + 1
+                )
                 if sqrt_cap < W:
                     _logger.info(
                         "resident pool auto-capped at W=%d by the dense "
                         "per-step cost model (sqrt(E)/%g, E=%d); CPUs would "
-                        "allow %d — pass num_workers explicitly or tune "
-                        "EngineConfig.dense_worker_cost to override",
-                        sqrt_cap, cost, graph.num_edges, W,
+                        "allow %d — pass num_workers explicitly to override",
+                        sqrt_cap, _DENSE_WORKER_COST, graph.num_edges, W,
                     )
                     W = sqrt_cap
         t0 = time.monotonic()
@@ -751,7 +765,7 @@ class ResidentEngine:
             )
             manifest = SuperstepEngine._manifest(0, rows, lineage_base, None)
             self._checkpoint(workers, run_dir, 0, manifest,
-                             retain=self.config.checkpoint_retain)
+                             retain=cfg.checkpoint_retain)
             per_step = [manifest]
             start_k = 0
 
@@ -778,6 +792,7 @@ class ResidentEngine:
             converged=converged,
             dense_capable=dense_capable,
             threshold=threshold,
+            retain=cfg.checkpoint_retain,
             t0=t0,
         )
 
@@ -858,16 +873,6 @@ class ResidentEngine:
         dense_capable, t0 = ns.dense_capable, ns.t0
         reason = "Converged" if converged else None
 
-        def _mode(manifest) -> str:
-            # dense scatter exchange when the frontier is dense enough
-            # that raw signal rows would exceed one dense vector
-            return (
-                "dense"
-                if dense_capable
-                and manifest.get("edges_next", 0) >= graph.num_vertices
-                else "sparse"
-            )
-
         # Fused loop: ONE actor barrier per superstep. Step k's signal
         # phase runs inside the same actor call that collects step k-1,
         # so the mode for step k+1's signals is decided from manifest
@@ -877,7 +882,7 @@ class ResidentEngine:
         sig_refs = None
         pending_mode = None
         if not converged:
-            pending_mode = _mode(last)
+            pending_mode = _exchange_mode(dense_capable, last, graph.num_vertices)
             sig_refs = [
                 (w.signal_dense.remote() if pending_mode == "dense" else w.signal.remote())
                 for w in workers
@@ -947,7 +952,7 @@ class ResidentEngine:
             k += 1
             if not pending:
                 pending_started[0] = time.monotonic()
-            next_mode = _mode(last)
+            next_mode = _exchange_mode(dense_capable, last, graph.num_vertices)
             rets = [
                 w.collect_and_signal.options(num_returns=2).remote(
                     sig_refs, pending_mode, next_mode,
@@ -975,16 +980,14 @@ class ResidentEngine:
                     converged = True
                     reason = "GlobalConstraintMet"
             if converged or (ckpt_int and k % ckpt_int == 0):
-                self._checkpoint(workers, run_dir, k, last,
-                                 retain=self.config.checkpoint_retain)
+                self._checkpoint(workers, run_dir, k, last, retain=ns.retain)
         drain_pending()
         # the final step must exist on disk whatever path ended the loop
         # (in-loop converged/interval checkpoints make this a no-op)
         if not os.path.exists(
             os.path.join(SuperstepEngine._step_dir(run_dir, k), "manifest.json")
         ):
-            self._checkpoint(workers, run_dir, k, last,
-                             retain=self.config.checkpoint_retain)
+            self._checkpoint(workers, run_dir, k, last, retain=ns.retain)
 
         return ExecutionInformation(
             algorithm=algo.name,
@@ -1147,15 +1150,6 @@ class InteractiveComputation:
         return bool(self.triggered)
 
     # -- control -----------------------------------------------------------
-    def _mode(self, manifest) -> str:
-        ns = self._ns
-        return (
-            "dense"
-            if ns.dense_capable
-            and manifest.get("edges_next", 0) >= ns.graph.num_vertices
-            else "sparse"
-        )
-
     def step(self, n: int = 1) -> dict:
         """Advance up to ``n`` supersteps (stops early at convergence or
         the step limit); returns the latest manifest."""
@@ -1172,7 +1166,9 @@ class InteractiveComputation:
             if self._sig_refs is None:
                 # first step after setup/resume: issue the initial signal
                 # phase (one extra barrier, once)
-                self._pending_mode = self._mode(ns.last)
+                self._pending_mode = _exchange_mode(
+                    ns.dense_capable, ns.last, ns.graph.num_vertices
+                )
                 self._sig_refs = [
                     (
                         w.signal_dense.remote()
@@ -1183,7 +1179,9 @@ class InteractiveComputation:
                 ]
             ns.k += 1
             t_step = time.monotonic()
-            next_mode = self._mode(ns.last)
+            next_mode = _exchange_mode(
+                ns.dense_capable, ns.last, ns.graph.num_vertices
+            )
             rets = [
                 w.collect_and_signal.options(num_returns=2).remote(
                     self._sig_refs, self._pending_mode, next_mode,
@@ -1223,7 +1221,9 @@ class InteractiveComputation:
         """Write the current superstep's checkpoint now (no-op if it
         already exists on disk)."""
         ns = self._ns
-        ResidentEngine._checkpoint(ns.workers, ns.run_dir, ns.k, ns.last)
+        ResidentEngine._checkpoint(
+            ns.workers, ns.run_dir, ns.k, ns.last, retain=ns.retain
+        )
 
     def finish(self) -> ExecutionInformation:
         """Persist the final step and return the execution information."""

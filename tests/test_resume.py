@@ -107,7 +107,8 @@ def test_resume_with_resized_worker_pool(tmp_path):
 
 def test_checkpoint_retention(tmp_path, ray_session):
     """checkpoint_retain=2 keeps only the newest two complete steps on
-    both executors, and resume from the survivor still works."""
+    the durable, resident and interactive executors, and resume from the
+    survivor still works."""
     import glob
     import os
 
@@ -142,15 +143,31 @@ def test_checkpoint_retention(tmp_path, ray_session):
             if os.path.exists(os.path.join(d, "manifest.json"))
         )
 
-    for name, eng_cls in (("durable", SuperstepEngine), ("resident", ResidentEngine)):
+    def run(name, cfg, run_dir, resume):
+        if name == "durable":
+            return SuperstepEngine(cfg).run(
+                g, PageRank(), run_dir=run_dir, resume=resume
+            )
+        if name == "resident":
+            return ResidentEngine(cfg).run(
+                g, PageRank(), run_dir=run_dir, resume=resume,
+                checkpoint_interval=1,
+            )
+        # interactive: step to the limit, then finish()
+        comp = ResidentEngine(cfg).interactive(
+            g, PageRank(), run_dir=run_dir, resume=resume,
+            checkpoint_interval=1,
+        )
+        comp.step(cfg.max_supersteps)
+        return comp.finish()
+
+    for name in ("durable", "resident", "interactive"):
         cfg = EngineConfig(
             num_partitions=4, eps=0.0, max_supersteps=6,
             checkpoint_retain=2,
         )
-        eng = eng_cls(cfg)
         rd_ = os.path.join(str(tmp_path), f"run_{name}")
-        kw = {} if eng_cls is SuperstepEngine else {"checkpoint_interval": 1}
-        info = eng.run(g, PageRank(), run_dir=rd_, resume=False, **kw)
+        info = run(name, cfg, rd_, resume=False)
         on_disk = steps_on_disk(rd_)
         assert len(on_disk) == 2, (name, on_disk)
         assert on_disk[-1] == info.supersteps
@@ -159,9 +176,7 @@ def test_checkpoint_retention(tmp_path, ray_session):
             num_partitions=4, eps=0.0, max_supersteps=8,
             checkpoint_retain=2,
         )
-        info2 = eng_cls(cfg2).run(
-            g, PageRank(), run_dir=rd_, resume=True, **kw
-        )
+        info2 = run(name, cfg2, rd_, resume=True)
         assert info2.supersteps == 8
         assert len(steps_on_disk(rd_)) == 2
 
