@@ -31,6 +31,8 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 import pyarrow as pa
 
+from signal_collect_ray.util import isin_sorted
+
 StateDict = Dict[str, np.ndarray]
 
 
@@ -54,7 +56,8 @@ class Algorithm:
     #: that executed its signal operation this superstep has its state
     #: overwritten with ``reset_value`` BEFORE the collect phase sees it —
     #: PathQuery-style message-passing algorithms (tokens forwarded, not
-    #: accumulated). Applied identically by both executors.
+    #: accumulated). Applied by every executor through
+    #: ``partition.reset_after_signal``.
     reset_after_signal: bool = False
     reset_value = 0.0
 
@@ -196,10 +199,8 @@ class Algorithm:
         handler would raise, ``interfaces/Handlers.scala:26-64``; we drop
         and count). Returns an int index array with -1 for missing.
         """
-        idx = np.searchsorted(prev_vid, dst)
-        idx_clipped = np.minimum(idx, len(prev_vid) - 1)
-        ok = (idx < len(prev_vid)) & (prev_vid[idx_clipped] == dst)
-        return np.where(ok, idx_clipped, -1)
+        ok, idx = isin_sorted(prev_vid, dst)
+        return np.where(ok, idx, -1)
 
 
 class GlobalTermination:

@@ -268,17 +268,3 @@ class MaximalMatching(Algorithm):
             "active": active,
             "residual": active.astype(np.float64),
         }
-
-
-def matching_pairs(state_table: pa.Table) -> pa.Table:
-    """Converged matching state → (vid, partner) pairs with vid <
-    partner (one row per matched pair)."""
-    vid = state_table.column("vid").to_numpy(zero_copy_only=False)
-    st = state_table.column("state").to_numpy(zero_copy_only=False)
-    m = (st >= 0) & (vid < st)
-    return pa.table(
-        {
-            "vid": pa.array(vid[m], pa.int64()),
-            "partner": pa.array(st[m], pa.int64()),
-        }
-    )

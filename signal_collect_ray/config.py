@@ -62,8 +62,9 @@ class EngineConfig:
     # "raise" (reference default: throw), or "create" (auto-create the
     # missing vertex via algo.init with no out-edges and deliver —
     # NonExistentVertexHandlerSpec behavior). "raise"/"create" are
-    # honored by the durable SuperstepEngine; the resident executor's
-    # dense path requires a closed vertex set and supports "drop" only.
+    # honored by the durable SuperstepEngine and the AsyncEngine (one
+    # handler, partition.deliver); the resident executor's dense path
+    # requires a closed vertex set and supports "drop" only.
     on_undeliverable: str = "drop"
 
     # Resident-executor fault tolerance: when a worker actor dies

@@ -46,19 +46,10 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-from signal_collect_ray.algorithm import Algorithm, StateDict
+from signal_collect_ray import partition
+from signal_collect_ray.algorithm import Algorithm
 from signal_collect_ray.config import EngineConfig
-from signal_collect_ray.util import expand_ranges, isin_sorted, part_of
-
-_BASE_STATE_COLS = ["part", "vid", "out_degree", "sum_out_weight"]
-
-
-def _dump_gpartial(val) -> str:
-    """Per-superstep global-aggregator partials ride the collect metrics
-    rows as JSON strings, so an algorithm may aggregate STRUCTURED
-    values (pairs, dicts), not just one scalar — numpy scalars coerce
-    via default=float."""
-    return json.dumps(val, default=float)
+from signal_collect_ray.util import isin_sorted, part_of
 
 
 def _coerce_gpartial(v) -> str:
@@ -71,32 +62,22 @@ def _coerce_gpartial(v) -> str:
         return ""
     if isinstance(v, str):
         return v
-    return _dump_gpartial(v)
+    return json.dumps(v, default=float)
 
 
-def _to_np_dict(tbl: pa.Table) -> StateDict:
-    return {
-        name: tbl.column(name).combine_chunks().to_numpy(zero_copy_only=False)
-        for name in tbl.column_names
-    }
-
-
-def _state_table(
-    part: int, vid, out_degree, sum_out_weight, st: StateDict, state_pa_type
-) -> pa.Table:
-    n = len(vid)
+def _metrics_table(row: dict) -> pa.Table:
+    """One partition's lineage/metrics row as the stages return it."""
     return pa.table(
         {
-            "part": pa.array(np.full(n, part, dtype=np.int32), pa.int32()),
-            "vid": pa.array(vid, pa.int64()),
-            "out_degree": pa.array(out_degree, pa.int64()),
-            "sum_out_weight": pa.array(sum_out_weight, pa.float64()),
-            "state": pa.array(st["state"], state_pa_type),
-            "last": pa.array(st["last"], state_pa_type),
-            "active": pa.array(st["active"].astype(bool), pa.bool_()),
-            "residual": pa.array(
-                st.get("residual", np.zeros(n)).astype(np.float64), pa.float64()
-            ),
+            "part": pa.array([row["part"]], pa.int32()),
+            "n_vertices": pa.array([row["n_vertices"]], pa.int64()),
+            "n_active": pa.array([row["n_active"]], pa.int64()),
+            "residual_max": pa.array([row["residual_max"]], pa.float64()),
+            "edges_traversed": pa.array([row["edges_traversed"]], pa.int64()),
+            "signal_rows_in": pa.array([row["signal_rows_in"]], pa.int64()),
+            "undeliverable": pa.array([row["undeliverable"]], pa.int64()),
+            "collect_s": pa.array([row.get("collect_s", 0.0)], pa.float64()),
+            "gpartial": pa.array([row["gpartial"]], pa.string()),
         }
     )
 
@@ -121,46 +102,19 @@ class _InitStage:
         self.algo, self.out_dir = algo, out_dir
 
     def __call__(self, tbl: pa.Table) -> pa.Table:
-        d = _to_np_dict(tbl)
+        algo = self.algo
+        d = partition.columns(tbl)
         p = int(d["part"][0])
-        st = self.algo.init(d["vid"], d["out_degree"], d["sum_out_weight"])
-        out = _state_table(
-            p, d["vid"], d["out_degree"], d["sum_out_weight"], st,
-            self.algo.state_pa_type,
-        )
-        pq.write_table(out, os.path.join(self.out_dir, f"part-{p:05d}.parquet"))
-        send_mask = (
-            np.ones(len(d["vid"]), dtype=bool)
-            if self.algo.always_signal
-            else st["active"].astype(bool)
-        )
-        gpartial = (
-            _dump_gpartial(
-                self.algo.global_partial(
-                    dict(
-                        st,
-                        vid=d["vid"],
-                        out_degree=d["out_degree"],
-                        sum_out_weight=d["sum_out_weight"],
-                    )
-                )
+        shard = partition.init_shard(algo, d)
+        partition.write_shard(self.out_dir, p, algo, shard)
+        return _metrics_table(
+            dict(
+                partition.shard_metrics(algo, p, shard),
+                residual_max=1.0,
+                signal_rows_in=0,
+                undeliverable=0,
+                gpartial=partition.global_partial(algo, shard),
             )
-            if self.algo.has_global
-            else ""
-        )
-        return pa.table(
-            {
-                "part": pa.array([p], pa.int32()),
-                "n_vertices": pa.array([len(tbl)], pa.int64()),
-                "n_active": pa.array([int(st["active"].sum())], pa.int64()),
-                "residual_max": pa.array([1.0], pa.float64()),
-                "edges_traversed": pa.array(
-                    [int(d["out_degree"][send_mask].sum())], pa.int64()
-                ),
-                "signal_rows_in": pa.array([0], pa.int64()),
-                "undeliverable": pa.array([0], pa.int64()),
-                "gpartial": pa.array([gpartial], pa.string()),
-            }
         )
 
 
@@ -179,13 +133,11 @@ class SignalStage:
         csr_refs: Dict[int, object],
         algo: Algorithm,
         num_partitions: int,
-        signal_threshold: float,
         part_fn=None,
     ):
         self.csr_refs = csr_refs
         self.algo = algo
         self.P = num_partitions
-        self.threshold = signal_threshold
         # vertex→partition mapper; must match the graph's build-time
         # placement (pluggable, MapperSpec.scala:34-83)
         self.part_fn = part_fn or part_of
@@ -207,12 +159,7 @@ class SignalStage:
         their last/active bookkeeping must advance). Emitted here so the
         engine needs no extra union stage per superstep."""
         algo = self.algo
-        act = (
-            np.ones(len(d["part"]), dtype=bool)
-            if algo.always_signal
-            else d["active"].astype(bool)
-        )
-        parts = np.unique(d["part"][act])
+        parts = np.unique(d["part"][partition.scheduled(algo, d)])
         if not len(parts):
             return None
         n = len(parts)
@@ -230,51 +177,19 @@ class SignalStage:
 
     def __call__(self, tbl: pa.Table) -> pa.Table:
         algo = self.algo
-        d = _to_np_dict(tbl)
+        d = partition.columns(tbl)
         seeds = self._seed_rows(d)
-        mask = (
-            np.ones(len(tbl), dtype=bool)
-            if algo.always_signal
-            else d["active"].astype(bool)
-        )
-        mask &= d["out_degree"] > 0
-        if not mask.any():
-            return seeds if seeds is not None else _empty_signals(algo)
-
-        pieces: List[pa.Table] = []
-        if seeds is not None:
-            pieces.append(seeds)
-        parts_here = np.unique(d["part"][mask])
-        for p in parts_here:
-            csr = self._csr(int(p))
-            if csr is None:
-                continue
-            sel = mask & (d["part"] == p)
-            sub = {k: v[sel] for k, v in d.items()}
-            pos = np.searchsorted(csr["src_ids"], sub["vid"])
-            pos_c = np.minimum(pos, len(csr["src_ids"]) - 1)
-            found = (pos < len(csr["src_ids"])) & (
-                csr["src_ids"][pos_c] == sub["vid"]
+        pieces: List[pa.Table] = [] if seeds is None else [seeds]
+        mask = partition.senders(algo, d)
+        # a block may hold several partitions' rows; each fans out over
+        # its own CSR block
+        for p in np.unique(d["part"][mask]):
+            sig = partition.signal(
+                algo, self._csr(int(p)), d, mask & (d["part"] == p)
             )
-            if not found.any():
+            if sig is None:
                 continue
-            sub = {k: v[found] for k, v in sub.items()}
-            pos = pos_c[found]
-            src_vals = algo.src_values(sub)
-            if len(pos) == len(csr["src_ids"]):
-                # full frontier: every CSR source signals, so the edge
-                # set IS the CSR in storage order — skip the explicit
-                # E-length index and the dst/weight gathers
-                counts = np.diff(csr["indptr"])
-                weight, dst = csr["weight"], csr["dst"]
-            else:
-                starts = csr["indptr"][pos]
-                counts = csr["indptr"][pos + 1] - starts
-                eidx = expand_ranges(starts, counts)
-                weight, dst = csr["weight"][eidx], csr["dst"][eidx]
-            expanded = {k: np.repeat(v, counts) for k, v in src_vals.items()}
-            vals = algo.edge_values(expanded, weight)
-            dst_u, combined = algo.combine(dst, vals)
+            dst_u, combined = sig
             cols = {
                 "dst_part": pa.array(self.part_fn(dst_u, self.P), pa.int32()),
                 "dst": pa.array(dst_u, pa.int64()),
@@ -294,46 +209,29 @@ def _migrate_shard(new_vfile: str, prev_dir: str, algo: Algorithm, out_dir: str)
     shard, and everything is re-enqueued (the reference pairs GraphEditor
     mutations with ``recalculateScores``,
     ``WorkerImplementation.scala:396-414``)."""
-    tbl = pq.read_table(new_vfile)
-    d = _to_np_dict(tbl)
-    vid, outd, sumw = d["vid"], d["out_degree"], d["sum_out_weight"]
-    p = int(d["part"][0]) if len(vid) else int(
-        os.path.basename(new_vfile).split("-")[1].split(".")[0]
-    )
-    st = algo.init(vid, outd, sumw)
+    shard = partition.init_shard(algo, partition.read_shard(new_vfile))
+    n = len(shard["vid"])
+    p = int(os.path.basename(new_vfile).split("-")[1].split(".")[0])
     old_path = os.path.join(prev_dir, f"part-{p:05d}.parquet")
-    if (
-        not algo.fresh_state_on_mutation
-        and os.path.exists(old_path)
-        and len(vid)
-    ):
-        old = _to_np_dict(pq.read_table(old_path))
-        found, pos_c = isin_sorted(vid, old["vid"])
+    if not algo.fresh_state_on_mutation and os.path.exists(old_path) and n:
+        old = partition.read_shard(old_path)
+        found, pos_c = isin_sorted(shard["vid"], old["vid"])
         for col in ("state", "last"):
-            arr = np.asarray(st[col]).copy()
+            arr = np.asarray(shard[col]).copy()
             arr[pos_c[found]] = old[col][found]
-            st[col] = arr
-    st["active"] = np.ones(len(vid), dtype=bool)
-    st["residual"] = np.full(len(vid), 1e18)
-    out = _state_table(p, vid, outd, sumw, st, algo.state_pa_type)
-    pq.write_table(out, os.path.join(out_dir, f"part-{p:05d}.parquet"))
+            shard[col] = arr
+    shard["active"] = np.ones(n, dtype=bool)
+    shard["residual"] = np.full(n, 1e18)
+    partition.write_shard(out_dir, p, algo, shard)
     return {
         "part": p,
-        "n_vertices": int(len(vid)),
-        "n_active": int(len(vid)),
+        "n_vertices": n,
+        "n_active": n,
         "residual_max": 1e18,
         "edges_traversed": 0,
         "signal_rows_in": 0,
         "undeliverable": 0,
-        "gpartial": (
-            _dump_gpartial(
-                algo.global_partial(
-                    dict(st, vid=vid, out_degree=outd, sum_out_weight=sumw)
-                )
-            )
-            if algo.has_global
-            else ""
-        ),
+        "gpartial": partition.global_partial(algo, shard),
     }
 
 
@@ -357,110 +255,36 @@ class CollectStage:
         self.threshold = signal_threshold
         self.on_undeliverable = on_undeliverable
 
-    @staticmethod
-    def _empty_prev() -> dict:
-        return {
-            "vid": np.empty(0, dtype=np.int64),
-            "out_degree": np.empty(0, dtype=np.int64),
-            "sum_out_weight": np.empty(0),
-            "state": np.empty(0),
-            "last": np.empty(0),
-            "active": np.empty(0, dtype=bool),
-        }
-
-    def _create_vertices(self, prev: dict, new_vids: np.ndarray) -> dict:
-        """Auto-create missing signal targets (reference
-        ``DefaultHandlerFactory.undeliverableSignalHandler`` vertex-creating
-        variant, ``Handlers.scala:26-44`` / ``NonExistentVertexHandlerSpec``):
-        fresh vertices with no out-edges, state from ``algo.init``, merged
-        sorted into the partition."""
-        algo = self.algo
-        zi = np.zeros(len(new_vids), dtype=np.int64)
-        zf = np.zeros(len(new_vids))
-        st_new = algo.init(new_vids, zi, zf)
-        vid = np.concatenate([prev["vid"], new_vids])
-        order = np.argsort(vid, kind="stable")
-        merged = {
-            "vid": vid[order],
-            "out_degree": np.concatenate([prev["out_degree"], zi])[order],
-            "sum_out_weight": np.concatenate([prev["sum_out_weight"], zf])[order],
-        }
-        for col in ("state", "last", "active"):
-            merged[col] = np.concatenate(
-                [prev[col], np.asarray(st_new[col])]
-            )[order]
-        return merged
-
     def __call__(self, tbl: pa.Table) -> pa.Table:
         t_start = time.perf_counter()
         algo = self.algo
-        p = int(tbl.column("dst_part")[0].as_py())
+        d = partition.columns(tbl)
+        p = int(d["dst_part"][0])
         prev_path = os.path.join(self.prev_dir, f"part-{p:05d}.parquet")
-        have_shard = os.path.exists(prev_path)
-        if not have_shard and self.on_undeliverable != "create":
-            # signals addressed to a partition with no vertices at all:
-            # every one is undeliverable (reference would invoke the
-            # undeliverable-signal handler, Handlers.scala:26-64).
-            real = int((_to_np_dict(tbl)["dst"] >= 0).sum())
-            if real and self.on_undeliverable == "raise":
-                raise RuntimeError(
-                    f"{real} undeliverable signals to empty partition {p} "
-                    "(on_undeliverable='raise', reference default handler "
-                    "semantics Handlers.scala:36-40)"
-                )
-            return self._metrics(p, 0, 0, 0.0, 0, int(len(tbl)), real)
-        prev = (
-            _to_np_dict(pq.read_table(prev_path))
-            if have_shard
-            else self._empty_prev()
+        shard = (
+            partition.reset_after_signal(algo, partition.read_shard(prev_path))
+            if os.path.exists(prev_path)
+            else None
         )
-        if algo.reset_after_signal and len(prev["vid"]):
-            # ResetStateAfterSignaling.scala:22-33 — vertices that ran
-            # their signal operation see the reset state at collect time.
-            sched = (
-                np.ones(len(prev["vid"]), dtype=bool)
-                if algo.always_signal
-                else prev["active"].astype(bool)
-            )
-            # only vertices that actually emitted (≥1 out-edge) reset —
-            # a scheduled sink sent nothing, so it keeps its state
-            sched &= np.asarray(prev["out_degree"]) > 0
-            state = np.asarray(prev["state"]).copy()
-            state[sched] = algo.reset_value
-            prev = dict(prev, state=state)
-
-        d = _to_np_dict(tbl)
         keep = d["dst"] >= 0  # drop engine seed rows
-        dst = d["dst"][keep]
-        vals = {name: d[name][keep] for name, _ in algo.signal_fields}
-        n_sig_rows = int(len(dst))
-        undeliverable = 0
-        if len(dst):
-            dst, vals = algo.combine(dst, vals)
-            idx = Algorithm._align(prev["vid"], dst)
-            bad = idx < 0
-            n_bad = int(bad.sum())
-            if n_bad and self.on_undeliverable == "raise":
-                raise RuntimeError(
-                    f"{n_bad} undeliverable signals in partition {p}, e.g. "
-                    f"dst={dst[bad][:5].tolist()} (on_undeliverable='raise', "
-                    "reference Handlers.scala:36-40)"
-                )
-            if n_bad and self.on_undeliverable == "create":
-                prev = self._create_vertices(prev, np.unique(dst[bad]))
-            elif n_bad:
-                undeliverable = n_bad
-                dst = dst[~bad]
-                vals = {k: v[~bad] for k, v in vals.items()}
-
-        st = algo.collect(prev, dst, vals, self.threshold)
-        out = _state_table(
-            p, prev["vid"], prev["out_degree"], prev["sum_out_weight"], st,
-            algo.state_pa_type,
+        sig = {k: d[k][keep] for k in ["dst"] + [n for n, _ in algo.signal_fields]}
+        shard, dst, vals, n_rows, n_bad = partition.deliver(
+            algo, p, shard, sig, self.on_undeliverable
         )
-        pq.write_table(out, os.path.join(self.out_dir, f"part-{p:05d}.parquet"))
+        if shard is None:
+            return _metrics_table(
+                {
+                    "part": p, "n_vertices": 0, "n_active": 0,
+                    "residual_max": 0.0, "edges_traversed": 0,
+                    "signal_rows_in": n_rows, "undeliverable": n_bad,
+                    "gpartial": "",
+                }
+            )
+        st = algo.collect(shard, dst, vals, self.threshold)
+        new = {**shard, **st}
+        partition.write_shard(self.out_dir, p, algo, new)
         if algo.emits_mutations:
-            em = algo.emit_edges(prev, st)
+            em = algo.emit_edges(shard, st)
             if em is not None and len(em["src"]):
                 n_em = len(em["src"])
                 pq.write_table(
@@ -479,62 +303,21 @@ class CollectStage:
                     ),
                     os.path.join(self.out_dir, f"emit-{p:05d}.parquet"),
                 )
-        send_mask = (
-            np.ones(len(prev["vid"]), dtype=bool)
-            if algo.always_signal
-            else st["active"].astype(bool)
-        )
-        edges_next = int(prev["out_degree"][send_mask].sum())
-        gpartial = (
-            _dump_gpartial(
-                algo.global_partial(
-                    dict(
-                        st,
-                        vid=prev["vid"],
-                        out_degree=prev["out_degree"],
-                        sum_out_weight=prev["sum_out_weight"],
-                    )
-                )
+        return _metrics_table(
+            dict(
+                partition.shard_metrics(algo, p, new),
+                signal_rows_in=n_rows,
+                undeliverable=n_bad,
+                collect_s=time.perf_counter() - t_start,
+                gpartial=partition.global_partial(algo, new),
             )
-            if algo.has_global
-            else ""
-        )
-        return self._metrics(
-            p,
-            len(prev["vid"]),
-            int(st["active"].sum()),
-            float(st["residual"].max(initial=0.0)),
-            edges_next,
-            n_sig_rows,
-            undeliverable,
-            collect_s=time.perf_counter() - t_start,
-            gpartial=gpartial,
-        )
-
-    @staticmethod
-    def _metrics(
-        p, n_v, n_act, res, edges_next, sig_rows, undeliv, collect_s=0.0,
-        gpartial="",
-    ) -> pa.Table:
-        return pa.table(
-            {
-                "part": pa.array([p], pa.int32()),
-                "n_vertices": pa.array([n_v], pa.int64()),
-                "n_active": pa.array([n_act], pa.int64()),
-                "residual_max": pa.array([res], pa.float64()),
-                "edges_traversed": pa.array([edges_next], pa.int64()),
-                "signal_rows_in": pa.array([sig_rows], pa.int64()),
-                "undeliverable": pa.array([undeliv], pa.int64()),
-                "collect_s": pa.array([collect_s], pa.float64()),
-                "gpartial": pa.array([gpartial], pa.string()),
-            }
         )
 
 
 def _part_agg(path, gt):
     """Worker-local phase of a global aggregation over one checkpoint
     shard (≙ aggregationOnWorker)."""
-    return gt.aggregate_partition(_to_np_dict(pq.read_table(path)))
+    return gt.aggregate_partition(partition.read_shard(path))
 
 
 _PART_AGG_REMOTE = None
@@ -602,13 +385,26 @@ class SuperstepEngine:
                 best = k if best is None else max(best, k)
         return best
 
-    def _write_manifest(self, step_tmp: str, step_dir: str, manifest: dict):
+    @staticmethod
+    def _step_tmp(run_dir: str, k: int) -> str:
+        """An empty staging dir for step k's shards."""
+        tmp = os.path.join(run_dir, f".tmp-step={k:05d}")
+        if os.path.exists(tmp):
+            shutil.rmtree(tmp)
+        os.makedirs(tmp)
+        return tmp
+
+    @classmethod
+    def _commit_step(cls, run_dir: str, k: int, step_tmp: str, manifest: dict,
+                     retain) -> None:
+        """The step-commit protocol every executor uses: the manifest
+        lands in the staging dir, one atomic rename publishes the step,
+        and only then are old steps pruned — a crash at any point leaves
+        the latest complete step intact."""
         with open(os.path.join(step_tmp, "manifest.json"), "w") as f:
             json.dump(manifest, f, indent=2)
-        os.rename(step_tmp, step_dir)
-        self._prune_checkpoints(
-            os.path.dirname(step_dir), self.config.checkpoint_retain
-        )
+        os.rename(step_tmp, cls._step_dir(run_dir, k))
+        cls._prune_checkpoints(run_dir, retain)
 
     @staticmethod
     def _prune_checkpoints(run_dir: str, retain) -> None:
@@ -742,8 +538,7 @@ class SuperstepEngine:
                 os.path.join(run_dir, ".tmp-step=*")
             ):
                 shutil.rmtree(d)
-            tmp0 = os.path.join(run_dir, ".tmp-step=00000")
-            os.makedirs(tmp0, exist_ok=True)
+            tmp0 = self._step_tmp(run_dir, 0)
             vds = rd.read_parquet(graph.vertex_files())
             rows = (
                 vds.groupby("part")
@@ -752,7 +547,7 @@ class SuperstepEngine:
             )
             manifest = self._manifest(0, rows, lineage_base, prev_step=None)
             self._reduce_global(algo, manifest)
-            self._write_manifest(tmp0, self._step_dir(run_dir, 0), manifest)
+            self._commit_step(run_dir, 0, tmp0, manifest, cfg.checkpoint_retain)
             per_step = [manifest]
             start_k = 0
 
@@ -784,10 +579,7 @@ class SuperstepEngine:
                 lineage_base, graph_dir=os.path.abspath(graph.graph_dir)
             )
             prev_dir = self._step_dir(run_dir, k_new - 1)
-            step_tmp = os.path.join(run_dir, f".tmp-step={k_new:05d}")
-            if os.path.exists(step_tmp):
-                shutil.rmtree(step_tmp)
-            os.makedirs(step_tmp)
+            step_tmp = self._step_tmp(run_dir, k_new)
             mig = ray.remote(_migrate_shard)
             rows = ray.get(
                 [
@@ -798,7 +590,9 @@ class SuperstepEngine:
             manifest = self._manifest(k_new, rows, lineage_base, prev_step=k_new - 1)
             self._reduce_global(algo, manifest)
             manifest["mutation"] = True
-            self._write_manifest(step_tmp, self._step_dir(run_dir, k_new), manifest)
+            self._commit_step(
+                run_dir, k_new, step_tmp, manifest, cfg.checkpoint_retain
+            )
             per_step.append(manifest)
             last = manifest
 
@@ -854,10 +648,7 @@ class SuperstepEngine:
                 # signal/collect (stages capture algo at construction)
                 algo.global_value = last.get("global_value")
             prev_dir = self._step_dir(run_dir, k - 1)
-            step_tmp = os.path.join(run_dir, f".tmp-step={k:05d}")
-            if os.path.exists(step_tmp):
-                shutil.rmtree(step_tmp)
-            os.makedirs(step_tmp)
+            step_tmp = self._step_tmp(run_dir, k)
 
             state = rd.read_parquet(
                 sorted(glob.glob(os.path.join(prev_dir, "part-*.parquet")))
@@ -867,7 +658,6 @@ class SuperstepEngine:
                     csr_refs=csr_refs,
                     algo=algo,
                     num_partitions=P,
-                    signal_threshold=threshold,
                     part_fn=graph.part_fn,
                 ),
                 batch_format="pyarrow",
@@ -914,7 +704,7 @@ class SuperstepEngine:
                 wall_s=time.monotonic() - ts,
             )
             self._reduce_global(algo, manifest)
-            self._write_manifest(step_tmp, self._step_dir(run_dir, k), manifest)
+            self._commit_step(run_dir, k, step_tmp, manifest, cfg.checkpoint_retain)
             per_step.append(manifest)
             last = manifest
             converged = self._is_converged(last, eps, k)

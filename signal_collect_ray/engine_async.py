@@ -44,16 +44,12 @@ import time
 from typing import Dict, List, Optional
 
 import numpy as np
-import pyarrow.parquet as pq
 
+from signal_collect_ray import partition
 from signal_collect_ray.algorithm import Algorithm
 from signal_collect_ray.config import EngineConfig
-from signal_collect_ray.engine import (
-    ExecutionInformation,
-    _state_table,
-    _to_np_dict,
-)
-from signal_collect_ray.util import expand_ranges, part_of
+from signal_collect_ray.engine import ExecutionInformation
+from signal_collect_ray.util import part_of
 
 
 class _AsyncWorker:
@@ -86,21 +82,12 @@ class _AsyncWorker:
         self.part_fn = part_fn or part_of
         csr_refs = csr_refs_wrapped[0]
         self.csr = {p: ray.get(csr_refs[p]) for p in parts if p in csr_refs}
-        self.meta: Dict[int, dict] = {}
-        self.state: Dict[int, dict] = {}
-        for p in parts:
-            f = vertex_files.get(p)
-            if f is None:
-                continue
-            d = _to_np_dict(pq.read_table(f))
-            self.meta[p] = {
-                "vid": d["vid"],
-                "out_degree": d["out_degree"],
-                "sum_out_weight": d["sum_out_weight"],
-            }
-            st = algo.init(d["vid"], d["out_degree"], d["sum_out_weight"])
-            st.setdefault("residual", np.ones(len(d["vid"])))
-            self.state[p] = st
+        # owned partitions that have vertices (partition.py shards)
+        self.shards: Dict[int, dict] = {
+            p: partition.init_shard(algo, partition.read_shard(vertex_files[p]))
+            for p in parts
+            if p in vertex_files
+        }
         self.peers = None
         self.inbox: list = []
         self.sent = 0
@@ -139,7 +126,7 @@ class _AsyncWorker:
         # inserts (on_undeliverable='create' materializes partitions
         # mid-run); iterating .values() directly could raise
         # "dictionary changed size during iteration"
-        states = list(self.state.values())
+        states = list(self.shards.values())
         has_active = any(bool(st["active"].any()) for st in states)
         res = max(
             (float(st["residual"].max(initial=0.0)) for st in states),
@@ -170,7 +157,7 @@ class _AsyncWorker:
     def _has_local_work(self) -> bool:
         if self.inbox:
             return True
-        return any(bool(st["active"].any()) for st in self.state.values())
+        return any(bool(st["active"].any()) for st in self.shards.values())
 
     def run_local(self, idle_sleep_s: float = 0.001) -> dict:
         """The worker's own scheduling loop (reference
@@ -208,187 +195,51 @@ class _AsyncWorker:
         return True
 
     def _signal_phase(self):
-        import ray
-
         algo = self.algo
-        out_per_worker: Dict[int, list] = {}
-        for p in self.parts:
-            st = self.state.get(p)
-            csr = self.csr.get(p)
-            if st is None:
-                continue
-            m = self.meta[p]
-            sched = st["active"].astype(bool)
-            emit = sched & (m["out_degree"] > 0)
-            if emit.any() and csr is not None:
-                sub = {
-                    "vid": m["vid"][emit],
-                    "out_degree": m["out_degree"][emit],
-                    "sum_out_weight": m["sum_out_weight"][emit],
-                    "state": st["state"][emit],
-                    "last": st["last"][emit],
-                }
-                pos = np.searchsorted(csr["src_ids"], sub["vid"])
-                pos_c = np.minimum(pos, len(csr["src_ids"]) - 1)
-                found = (pos < len(csr["src_ids"])) & (
-                    csr["src_ids"][pos_c] == sub["vid"]
-                )
-                if found.any():
-                    sub2 = {k: v[found] for k, v in sub.items()}
-                    pos2 = pos_c[found]
-                    starts = csr["indptr"][pos2]
-                    counts = csr["indptr"][pos2 + 1] - starts
-                    eidx = expand_ranges(starts, counts)
-                    src_vals = algo.src_values(sub2)
-                    expanded = {
-                        k: np.repeat(v, counts) for k, v in src_vals.items()
-                    }
-                    vals = algo.edge_values(expanded, csr["weight"][eidx])
-                    dst = csr["dst"][eidx]
-                    dst_u, combined = algo.combine(dst, vals)
-                    dw = self.part_fn(dst_u, self.P) % self.W
-                    order = np.argsort(dw, kind="stable")
-                    dst_u, dw = dst_u[order], dw[order]
-                    combined = {k: v[order] for k, v in combined.items()}
-                    bounds = np.searchsorted(dw, np.arange(self.W + 1))
-                    for w in range(self.W):
-                        lo, hi = bounds[w], bounds[w + 1]
-                        if lo < hi:
-                            out_per_worker.setdefault(w, []).append(
-                                (
-                                    dst_u[lo:hi],
-                                    {k: v[lo:hi] for k, v in combined.items()},
-                                )
-                            )
-            # post-signal bookkeeping for EVERY scheduled vertex (signal
-            # op executes even when it emits nothing — reference
-            # AbstractVertex.executeSignalOperation):
+        out = partition.outbox(
+            algo, self.csr, self.shards, self.part_fn, self.P, self.W
+        )
+        # post-signal bookkeeping for EVERY scheduled vertex (signal op
+        # executes even when it emits nothing — reference
+        # AbstractVertex.executeSignalOperation): lastSignalState
+        # catch-up, ResetStateAfterSignaling, de-schedule
+        for p, shard in list(self.shards.items()):
+            sched = shard["active"].astype(bool)
             if sched.any():
-                st["last"] = np.where(sched, st["state"], st["last"])
-                if algo.reset_after_signal:
-                    new_state = st["state"].copy()
-                    new_state[emit] = algo.reset_value
-                    st["state"] = new_state
-                st["active"] = sched & False
-                st["residual"] = np.where(sched, 0.0, st["residual"])
-        for w, pieces in out_per_worker.items():
-            n = int(sum(len(x[0]) for x in pieces))
+                self.shards[p] = dict(
+                    partition.reset_after_signal(algo, shard),
+                    last=np.where(sched, shard["state"], shard["last"]),
+                    active=sched & False,
+                    residual=np.where(sched, 0.0, shard["residual"]),
+                )
+        for w, blk in out.items():
+            n = len(blk["dst"])
             self.sent += n
             if w == self.wid:
-                self.push(pieces, n)
+                self.push([blk], n)
             else:
-                self.peers[w].push.remote(pieces, n)
+                self.peers[w].push.remote([blk], n)
 
     def _collect_phase(self):
         algo = self.algo
         with self._mu:
             if not self.inbox:
                 return
-            pieces, self.inbox = self.inbox, []
-        field_names = [n for n, _ in algo.signal_fields]
-        per_part: Dict[int, list] = {}
-        for dst, vals in pieces:
-            dp = self.part_fn(dst, self.P)
-            order = np.argsort(dp, kind="stable")
-            dp, dsts = dp[order], dst[order]
-            vv = {k: v[order] for k, v in vals.items()}
-            bounds = np.searchsorted(dp, np.arange(self.P + 1))
-            for p in self.parts:
-                lo, hi = bounds[p], bounds[p + 1]
-                if lo < hi:
-                    per_part.setdefault(p, []).append(
-                        (dsts[lo:hi], {k: v[lo:hi] for k, v in vv.items()})
-                    )
-        for p, plist in per_part.items():
-            st = self.state.get(p)
-            if st is None:
-                n_bad = int(sum(len(x[0]) for x in plist))
-                if self.on_undeliverable == "raise":
-                    raise RuntimeError(
-                        f"{n_bad} undeliverable signals to empty partition "
-                        f"{p} (on_undeliverable='raise', Handlers.scala:36-40)"
-                    )
-                if self.on_undeliverable == "create":
-                    # materialize the partition in place (worker-local —
-                    # the receiving worker OWNS partition p, so vertex
-                    # creation needs no coordination, exactly the
-                    # reference's handler running on the target worker,
-                    # DefaultHandlerFactory / Handlers.scala:26-44)
-                    self.meta[p] = {
-                        "vid": np.empty(0, dtype=np.int64),
-                        "out_degree": np.empty(0, dtype=np.int64),
-                        "sum_out_weight": np.empty(0),
-                    }
-                    st = algo.init(
-                        np.empty(0, dtype=np.int64),
-                        np.empty(0, dtype=np.int64),
-                        np.empty(0),
-                    )
-                    st.setdefault("residual", np.empty(0))
-                    self.state[p] = st
-                else:
-                    self.undeliverable += n_bad
-                    continue
-            m = self.meta[p]
-            dst = np.concatenate([x[0] for x in plist])
-            vals = {
-                k: np.concatenate([x[1][k] for x in plist]) for k in field_names
-            }
-            dst, vals = algo.combine(dst, vals)
-            idx = Algorithm._align(m["vid"], dst)
-            bad = idx < 0
-            if bad.any():
-                if self.on_undeliverable == "raise":
-                    raise RuntimeError(
-                        f"{int(bad.sum())} undeliverable signals in partition "
-                        f"{p}, e.g. dst={dst[bad][:5].tolist()} "
-                        "(on_undeliverable='raise', Handlers.scala:36-40)"
-                    )
-                if self.on_undeliverable == "create":
-                    m = self._create_vertices(p, np.unique(dst[bad]))
-                    st = self.state[p]
-                else:
-                    self.undeliverable += int(bad.sum())
-                    dst = dst[~bad]
-                    vals = {k: v[~bad] for k, v in vals.items()}
-            prev = {
-                "vid": m["vid"],
-                "out_degree": m["out_degree"],
-                "sum_out_weight": m["sum_out_weight"],
-                "state": st["state"],
-                "last": st["last"],
-                "active": st["active"],
-            }
-            new_st = algo.collect(prev, dst, vals, self.threshold)
-            # async schedule: only signal recipients re-activate; the
-            # fold made other vertices' activity impossible to change
-            self.state[p] = new_st
-
-    def _create_vertices(self, p: int, new_vids: np.ndarray) -> dict:
-        """Auto-create missing signal targets in an owned partition
-        (reference NonExistentVertexHandlerSpec semantics — fresh
-        vertices with no out-edges, state from ``algo.init``, merged
-        sorted). Returns the refreshed meta dict."""
-        algo = self.algo
-        m, st = self.meta[p], self.state[p]
-        zi = np.zeros(len(new_vids), dtype=np.int64)
-        zf = np.zeros(len(new_vids))
-        st_new = algo.init(new_vids, zi, zf)
-        st_new.setdefault("residual", np.ones(len(new_vids)))
-        vid = np.concatenate([m["vid"], new_vids])
-        order = np.argsort(vid, kind="stable")
-        self.meta[p] = {
-            "vid": vid[order],
-            "out_degree": np.concatenate([m["out_degree"], zi])[order],
-            "sum_out_weight": np.concatenate([m["sum_out_weight"], zf])[order],
-        }
-        merged = {}
-        for col in ("state", "last", "active", "residual"):
-            merged[col] = np.concatenate(
-                [np.asarray(st[col]), np.asarray(st_new[col])]
-            )[order]
-        self.state[p] = merged
-        return self.meta[p]
+            blocks, self.inbox = self.inbox, []
+        for p, sig in partition.by_partition(blocks, self.P).items():
+            # the receiving worker OWNS partition p, so vertex creation
+            # needs no coordination — the reference's handler running on
+            # the target worker (DefaultHandlerFactory, Handlers.scala:26-44)
+            shard, dst, vals, _, n_bad = partition.deliver(
+                algo, p, self.shards.get(p), sig, self.on_undeliverable
+            )
+            self.undeliverable += n_bad
+            if shard is not None:
+                # async schedule: only signal recipients re-activate; the
+                # fold made other vertices' activity impossible to change
+                self.shards[p] = {
+                    **shard, **algo.collect(shard, dst, vals, self.threshold)
+                }
 
     def drain_inbox(self) -> dict:
         """Collect-only round: fold any delivered-but-unprocessed signals
@@ -408,26 +259,12 @@ class _AsyncWorker:
         """Worker-local phase of a global aggregation — same contract as
         the resident executor's (``AggregationOperation.scala:27-59``);
         lets a ContinuousComputation query aggregates mid-flight."""
-        partials = []
-        for p in self.parts:
-            st = self.state.get(p)
-            if st is None:
-                continue
-            partials.append(gt.aggregate_partition({**self.meta[p], **st}))
-        return partials
+        return partition.aggregate(
+            gt, [self.shards[p] for p in self.parts if p in self.shards]
+        )
 
     def write_final(self, out_dir: str):
-        for p in self.parts:
-            st = self.state.get(p)
-            if st is None:
-                continue
-            m = self.meta[p]
-            tbl = _state_table(
-                p, m["vid"], m["out_degree"], m["sum_out_weight"], st,
-                self.algo.state_pa_type,
-            )
-            pq.write_table(tbl, os.path.join(out_dir, f"part-{p:05d}.parquet"))
-        return True
+        partition.write_shards(out_dir, self.algo, self.shards)
 
 
 class AsyncEngine:

@@ -12,8 +12,9 @@ a superstep is two actor rounds (signal → exchange refs → collect) with
 signals pre-combined per destination partition before they enter the
 object store (same combiner as engine.py's SignalStage).
 
-Semantics are IDENTICAL to engine.py — both drive the same vectorized
-``Algorithm`` kernels, and equality is asserted in tests. Checkpoint
+Semantics are IDENTICAL to engine.py — both call the same per-partition
+kernels in ``partition.py`` (fan-out, combine, delivery, reset-after-
+signal, shard I/O), and equality is asserted in tests. Checkpoint
 shards + manifests use the same format, so a run started under one
 executor resumes under the other. Durability is every
 ``checkpoint_interval`` supersteps (+ always at termination) instead of
@@ -36,18 +37,12 @@ import time
 from typing import Dict, List, Optional
 
 import numpy as np
-import pyarrow as pa
-import pyarrow.parquet as pq
 
+from signal_collect_ray import partition
 from signal_collect_ray.algorithm import Algorithm
 from signal_collect_ray.config import EngineConfig
-from signal_collect_ray.engine import (
-    ExecutionInformation,
-    SuperstepEngine,
-    _state_table,
-    _to_np_dict,
-)
-from signal_collect_ray.util import expand_ranges, part_of
+from signal_collect_ray.engine import ExecutionInformation, SuperstepEngine
+from signal_collect_ray.util import part_of
 
 _logger = logging.getLogger("signal_collect_ray.resident")
 
@@ -68,7 +63,8 @@ def _exchange_mode(dense_capable: bool, manifest: dict, num_vertices: int) -> st
 
 
 class _Worker:
-    """One resident worker: owns `parts`, their CSR and state arrays."""
+    """One resident worker: owns `parts`, their CSR blocks and state
+    shards (partition.py layout)."""
 
     def __init__(
         self,
@@ -94,94 +90,32 @@ class _Worker:
         self.part_fn = part_fn or part_of
         csr_refs = csr_refs_wrapped[0]
         self.csr = {p: ray.get(csr_refs[p]) for p in parts if p in csr_refs}
-        self.state: Dict[int, dict] = {}
-        self.meta: Dict[int, dict] = {}
+        # owned partitions that have vertices, in ascending partition order
+        self.shards: Dict[int, dict] = {}
         self.offsets = part_offsets
         self.sizes = part_sizes
         self.V = int(part_sizes.sum()) if part_sizes is not None else 0
+        self._rows_in: Dict[int, int] = {}
+        self._undeliverable: Dict[int, int] = {}
 
     # -- state lifecycle ---------------------------------------------------
     def init_from_vertices(self, vertex_files: Dict[int, str]):
         for p in self.parts:
             f = vertex_files.get(p)
-            if f is None:
-                continue
-            d = _to_np_dict(pq.read_table(f))
-            st = self.algo.init(d["vid"], d["out_degree"], d["sum_out_weight"])
-            st.setdefault("residual", np.ones(len(d["vid"])))
-            self.meta[p] = {
-                "vid": d["vid"],
-                "out_degree": d["out_degree"],
-                "sum_out_weight": d["sum_out_weight"],
-            }
-            self.state[p] = st
+            if f is not None:
+                self.shards[p] = partition.init_shard(
+                    self.algo, partition.read_shard(f)
+                )
         return self._metrics()
 
     def load_checkpoint(self, step_dir: str):
         for p in self.parts:
             f = os.path.join(step_dir, f"part-{p:05d}.parquet")
-            if not os.path.exists(f):
-                continue
-            d = _to_np_dict(pq.read_table(f))
-            self.meta[p] = {
-                "vid": d["vid"],
-                "out_degree": d["out_degree"],
-                "sum_out_weight": d["sum_out_weight"],
-            }
-            self.state[p] = {
-                "state": d["state"],
-                "last": d["last"],
-                "active": d["active"].astype(bool),
-                "residual": d["residual"],
-            }
+            if os.path.exists(f):
+                self.shards[p] = partition.read_shard(f)
         return self._metrics()
 
     # -- superstep ---------------------------------------------------------
-    def _active_edges(self, p: int):
-        """Shared src selection + CSR fan-out for one owned partition.
-        Returns (sub, eidx, counts) or None when nothing signals.
-        ``eidx`` is None on the full-frontier fast path — every CSR
-        source is signaling, so the edge set IS the CSR in storage order
-        and callers index csr arrays directly instead of gathering
-        through an explicit E-length index (saves building eidx plus the
-        dst/weight/dst_gidx gathers — the dominant per-edge passes when
-        a dense algorithm like PageRank has its whole frontier active)."""
-        algo = self.algo
-        st = self.state.get(p)
-        csr = self.csr.get(p)
-        if st is None or csr is None:
-            return None
-        m = self.meta[p]
-        mask = (
-            np.ones(len(m["vid"]), dtype=bool)
-            if algo.always_signal
-            else st["active"]
-        )
-        mask = mask & (m["out_degree"] > 0)
-        if not mask.any():
-            return None
-        sub = {
-            "vid": m["vid"][mask],
-            "out_degree": m["out_degree"][mask],
-            "sum_out_weight": m["sum_out_weight"][mask],
-            "state": st["state"][mask],
-            "last": st["last"][mask],
-        }
-        pos = np.searchsorted(csr["src_ids"], sub["vid"])
-        pos_c = np.minimum(pos, len(csr["src_ids"]) - 1)
-        found = (pos < len(csr["src_ids"])) & (csr["src_ids"][pos_c] == sub["vid"])
-        if not found.any():
-            return None
-        sub = {k: v[found] for k, v in sub.items()}
-        pos = pos_c[found]
-        if len(pos) == len(csr["src_ids"]):
-            # every source signals (pos is then 0..n-1 by construction)
-            counts = np.diff(csr["indptr"])
-            return sub, None, counts
-        starts = csr["indptr"][pos]
-        counts = csr["indptr"][pos + 1] - starts
-        return sub, expand_ranges(starts, counts), counts
-
     def signal_dense(self):
         """Dense fast path: per-edge values scatter into ONE dense vector
         over the global vertex index (bincount for sum, minimum.at for
@@ -198,20 +132,13 @@ class _Worker:
         field0 = algo.signal_fields[0][0]
         is_sum = algo.dense_agg == "sum"
         total = None
-        for p in self.parts:
-            sel = self._active_edges(p)
-            if sel is None:
+        for p, shard in self.shards.items():
+            edges = partition.fan_out(
+                algo, self.csr.get(p), shard, dst_col="dst_gidx"
+            )
+            if edges is None:
                 continue
-            sub, eidx, counts = sel
-            csr = self.csr[p]
-            src_vals = algo.src_values(sub)
-            expanded = {k: np.repeat(v, counts) for k, v in src_vals.items()}
-            if eidx is None:  # full frontier: csr arrays in storage order
-                vals = algo.edge_values(expanded, csr["weight"])[field0]
-                gidx = csr["dst_gidx"]
-            else:
-                vals = algo.edge_values(expanded, csr["weight"][eidx])[field0]
-                gidx = csr["dst_gidx"][eidx]
+            gidx, vals = edges[0], edges[1][field0]
             if total is None:
                 total = (
                     np.zeros(self.V, dtype=np.float64)
@@ -248,57 +175,14 @@ class _Worker:
     def signal(self):
         """Compute this worker's outgoing signals, pre-combined per
         destination partition, grouped per destination WORKER — ONE
-        concatenated (dparts, dst, vals) triple per destination worker
-        (not one per owned partition: fewer, larger arrays keep the
-        exchange near the Ray RPC floor). The whole outbox is the task's
-        return value; receivers slice only their pieces (numpy buffers
-        ride pickle5 out-of-band in plasma)."""
-        algo = self.algo
-        acc: Dict[int, list] = {}
-        for p in self.parts:
-            sel = self._active_edges(p)
-            if sel is None:
-                continue
-            sub, eidx, counts = sel
-            csr = self.csr[p]
-            src_vals = algo.src_values(sub)
-            expanded = {k: np.repeat(v, counts) for k, v in src_vals.items()}
-            if eidx is None:  # full frontier: csr arrays in storage order
-                vals = algo.edge_values(expanded, csr["weight"])
-                dst = csr["dst"]
-            else:
-                vals = algo.edge_values(expanded, csr["weight"][eidx])
-                dst = csr["dst"][eidx]
-            dst_u, combined = algo.combine(dst, vals)
-            dparts = self.part_fn(dst_u, self.P)
-            dwids = dparts % self.W
-            order = np.argsort(dwids, kind="stable")
-            dst_u, dparts, dwids = dst_u[order], dparts[order], dwids[order]
-            combined = {k: v[order] for k, v in combined.items()}
-            bounds = np.searchsorted(dwids, np.arange(self.W + 1))
-            for w in range(self.W):
-                lo, hi = bounds[w], bounds[w + 1]
-                if lo == hi:
-                    continue
-                acc.setdefault(w, []).append(
-                    (dparts[lo:hi], dst_u[lo:hi], {k: v[lo:hi] for k, v in combined.items()})
-                )
-        outbox: Dict[int, list] = {}
-        for w, lst in acc.items():
-            if len(lst) == 1:
-                outbox[w] = lst
-            else:
-                outbox[w] = [
-                    (
-                        np.concatenate([x[0] for x in lst]),
-                        np.concatenate([x[1] for x in lst]),
-                        {
-                            k: np.concatenate([x[2][k] for x in lst])
-                            for k in lst[0][2]
-                        },
-                    )
-                ]
-        return outbox
+        concatenated signal block per destination worker (not one per
+        owned partition: fewer, larger arrays keep the exchange near the
+        Ray RPC floor). The whole outbox is the task's return value;
+        receivers slice only their pieces (numpy buffers ride pickle5
+        out-of-band in plasma)."""
+        return partition.outbox(
+            self.algo, self.csr, self.shards, self.part_fn, self.P, self.W
+        )
 
     def collect_dense(self, entries: list):
         """Dense collect: elementwise sum/min of the received dense
@@ -308,6 +192,7 @@ class _Worker:
         algo = self.algo
         is_sum = algo.dense_agg == "sum"
         acc: Dict[int, np.ndarray] = {}
+        rows_in: Dict[int, int] = {}
         for entry in entries:
             if entry is None:
                 continue
@@ -317,6 +202,7 @@ class _Worker:
             splits = np.split(data, np.cumsum(lens)[:-1])
             for p, arr in zip(plist, splits):
                 p = int(p)
+                rows_in[p] = rows_in.get(p, 0) + len(arr)
                 cur = acc.get(p)
                 if cur is None:
                     acc[p] = arr.copy()
@@ -326,106 +212,43 @@ class _Worker:
                     np.maximum(cur, arr, out=cur)
                 else:
                     np.minimum(cur, arr, out=cur)
-        self._undeliverable = 0
-        for p in self.parts:
-            st = self.state.get(p)
-            if st is None:
-                continue
-            m = self.meta[p]
+        self._rows_in, self._undeliverable = rows_in, {}
+        for p, shard in self.shards.items():
             inc = acc.get(p)
             if inc is None:
+                n = len(shard["vid"])
                 inc = (
-                    np.zeros(len(m["vid"]))
+                    np.zeros(n)
                     if is_sum
-                    else np.full(
-                        len(m["vid"]), algo.dense_identity, dtype=algo.dense_dtype
-                    )
+                    else np.full(n, algo.dense_identity, dtype=algo.dense_dtype)
                 )
-            prev = {
-                "vid": m["vid"],
-                "out_degree": m["out_degree"],
-                "sum_out_weight": m["sum_out_weight"],
-                "state": self._reset_state(st, m),
-                "last": st["last"],
-                "active": st["active"],
-            }
-            self.state[p] = algo.collect_dense(prev, inc, self.threshold)
+            prev = partition.reset_after_signal(algo, shard)
+            self.shards[p] = {**prev, **algo.collect_dense(prev, inc, self.threshold)}
         return self._metrics()
-
-    def _reset_state(self, st, m):
-        """ResetStateAfterSignaling.scala:22-33: vertices that executed
-        the signal op this superstep expose the reset state to collect."""
-        algo = self.algo
-        if not algo.reset_after_signal:
-            return st["state"]
-        sched = (
-            np.ones(len(m["vid"]), dtype=bool)
-            if algo.always_signal
-            else st["active"].astype(bool)
-        )
-        # only vertices that actually emitted (≥1 out-edge) reset — a
-        # scheduled sink sent nothing, so it keeps its state
-        sched &= m["out_degree"] > 0
-        state = np.asarray(st["state"]).copy()
-        state[sched] = algo.reset_value
-        return state
 
     def collect(self, entries: list):
         """Apply incoming signals to owned partitions; returns metrics.
 
         ``entries`` are this worker's own inbox entries, one per sender
-        (each a list of concatenated (dparts, dst, vals) triples, or
-        None)."""
+        (a concatenated signal block, or None)."""
         algo = self.algo
-        field_names = [n for n, _ in algo.signal_fields]
-        per_part: Dict[int, list] = {p: [] for p in self.parts}
-        inbox = []
-        for ent in entries:
-            if ent:
-                inbox.extend(ent)
-        for dparts, dst, vals in inbox:
-                order = np.argsort(dparts, kind="stable")
-                dp, ds = dparts[order], dst[order]
-                vv = {k: v[order] for k, v in vals.items()}
-                bounds = np.searchsorted(dp, np.arange(self.P + 1))
-                for p in self.parts:
-                    lo, hi = bounds[p], bounds[p + 1]
-                    if lo < hi:
-                        per_part[p].append(
-                            (ds[lo:hi], {k: v[lo:hi] for k, v in vv.items()})
-                        )
-        self._undeliverable = 0
+        per_part = partition.by_partition((e for e in entries if e), self.P)
+        none = partition.empty_signals(algo)
+        self._rows_in, self._undeliverable = {}, {}
         for p in self.parts:
-            st = self.state.get(p)
-            if st is None:
-                continue
-            m = self.meta[p]
-            pieces = per_part[p]
-            if pieces:
-                dst = np.concatenate([x[0] for x in pieces])
-                vals = {
-                    k: np.concatenate([x[1][k] for x in pieces])
-                    for k in field_names
+            shard = self.shards.get(p)
+            if shard is not None:
+                shard = partition.reset_after_signal(algo, shard)
+            # the closed vertex set (_prepare refuses dangling edges)
+            # makes every signal deliverable; "drop" only counts
+            shard, dst, vals, n_rows, n_bad = partition.deliver(
+                algo, p, shard, per_part.get(p, none), "drop"
+            )
+            self._rows_in[p], self._undeliverable[p] = n_rows, n_bad
+            if shard is not None:
+                self.shards[p] = {
+                    **shard, **algo.collect(shard, dst, vals, self.threshold)
                 }
-                dst, vals = algo.combine(dst, vals)
-                idx = Algorithm._align(m["vid"], dst)
-                bad = idx < 0
-                if bad.any():
-                    self._undeliverable += int(bad.sum())
-                    dst = dst[~bad]
-                    vals = {k: v[~bad] for k, v in vals.items()}
-            else:
-                dst = np.empty(0, dtype=np.int64)
-                vals = {k: np.empty(0) for k in field_names}
-            prev = {
-                "vid": m["vid"],
-                "out_degree": m["out_degree"],
-                "sum_out_weight": m["sum_out_weight"],
-                "state": self._reset_state(st, m),
-                "last": st["last"],
-                "active": st["active"],
-            }
-            self.state[p] = algo.collect(prev, dst, vals, self.threshold)
         return self._metrics()
 
     def collect_and_signal(
@@ -465,7 +288,7 @@ class _Worker:
         # the vectorized engine processes a partition's vertices in one
         # fused kernel, so per-vertex timers are meaningless — worker
         # phase wall is attributed to owned partitions by vertex count.
-        n_total = sum(len(self.meta[p]["vid"]) for p in self.parts if p in self.meta)
+        n_total = sum(len(s["vid"]) for s in self.shards.values())
         for r in rows:
             frac = r["n_vertices"] / max(n_total, 1)
             r["collect_s"] = (t1 - t0) * frac
@@ -475,16 +298,7 @@ class _Worker:
     def aggregate_states(self, gt):
         """Worker-local phase of a global aggregation
         (≙ aggregationOnWorker, interfaces/AggregationOperation.scala:27-59)."""
-        partials = []
-        for p in self.parts:
-            st = self.state.get(p)
-            if st is None:
-                continue
-            m = self.meta[p]
-            partials.append(
-                gt.aggregate_partition({**m, **st})
-            )
-        return partials
+        return partition.aggregate(gt, self.shards.values())
 
     def out_neighbors(self, vids: list) -> dict:
         """Out-neighbor lists for the requested vertex ids, restricted to
@@ -535,43 +349,17 @@ class _Worker:
 
     # -- durability --------------------------------------------------------
     def checkpoint(self, out_dir: str):
-        for p in self.parts:
-            st = self.state.get(p)
-            if st is None:
-                continue
-            m = self.meta[p]
-            tbl = _state_table(
-                p, m["vid"], m["out_degree"], m["sum_out_weight"], st,
-                self.algo.state_pa_type,
-            )
-            pq.write_table(tbl, os.path.join(out_dir, f"part-{p:05d}.parquet"))
-        return True
+        partition.write_shards(out_dir, self.algo, self.shards)
 
     def _metrics(self):
-        rows = []
-        algo = self.algo
-        for p in self.parts:
-            st = self.state.get(p)
-            if st is None:
-                continue
-            m = self.meta[p]
-            send = (
-                np.ones(len(m["vid"]), dtype=bool)
-                if algo.always_signal
-                else st["active"].astype(bool)
+        return [
+            dict(
+                partition.shard_metrics(self.algo, p, shard),
+                signal_rows_in=self._rows_in.get(p, 0),
+                undeliverable=self._undeliverable.get(p, 0),
             )
-            rows.append(
-                {
-                    "part": p,
-                    "n_vertices": int(len(m["vid"])),
-                    "n_active": int(st["active"].sum()),
-                    "residual_max": float(st["residual"].max(initial=0.0)),
-                    "edges_traversed": int(m["out_degree"][send].sum()),
-                    "signal_rows_in": 0,
-                    "undeliverable": int(getattr(self, "_undeliverable", 0)),
-                }
-            )
-        return rows
+            for p, shard in self.shards.items()
+        ]
 
 
 class ResidentEngine:
@@ -1032,18 +820,11 @@ class ResidentEngine:
                     retain=None):
         import ray
 
-        step_dir = SuperstepEngine._step_dir(run_dir, k)
-        if os.path.exists(step_dir):
+        if os.path.exists(SuperstepEngine._step_dir(run_dir, k)):
             return
-        tmp = os.path.join(run_dir, f".tmp-step={k:05d}")
-        if os.path.exists(tmp):
-            shutil.rmtree(tmp)
-        os.makedirs(tmp)
+        tmp = SuperstepEngine._step_tmp(run_dir, k)
         ray.get([w.checkpoint.remote(tmp) for w in workers])
-        with open(os.path.join(tmp, "manifest.json"), "w") as f:
-            json.dump(manifest, f, indent=2)
-        os.rename(tmp, step_dir)
-        SuperstepEngine._prune_checkpoints(run_dir, retain)
+        SuperstepEngine._commit_step(run_dir, k, tmp, manifest, retain)
 
 
 def _flatten(lists):

@@ -11548,18 +11548,20 @@ def q_minhash_dedup_pairs(sf_dir: str):
     )
     pairs = minhash_lsh_candidates(ds)
     verified = jaccard_verify(ds, pairs, threshold=0.5)
+    return verified.map_batches(_round_jaccard, batch_format="pyarrow")
 
-    def rounded(tbl: pa.Table) -> pa.Table:
-        j = tbl.column("jaccard").to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "id_a": tbl.column("id_a"),
-                "id_b": tbl.column("id_b"),
-                "jaccard": pa.array(np.round(j, 6), pa.float64()),
-            }
-        )
 
-    return verified.map_batches(rounded, batch_format="pyarrow")
+def _round_jaccard(tbl: pa.Table) -> pa.Table:
+    """Pair rows with jaccard rounded to 6 places the way the DuckDB
+    oracle's ROUND does (half away from zero)."""
+    j = tbl.column("jaccard").to_numpy(zero_copy_only=False)
+    return pa.table(
+        {
+            "id_a": tbl.column("id_a"),
+            "id_b": tbl.column("id_b"),
+            "jaccard": pa.array(_round_half_away(j, 6), pa.float64()),
+        }
+    )
 
 
 def q_simhash_signatures(sf_dir: str):

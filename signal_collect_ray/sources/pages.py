@@ -89,11 +89,6 @@ def page_links(
 _WORDS_ARR = np.array(WORDS, dtype=object)
 
 
-def _words_for(seed: int, salt: int, i: int, n: int) -> list[str]:
-    hs = _h(seed, salt, np.int64(i) * np.int64(131) + np.arange(n, dtype=np.int64))
-    return _WORDS_ARR[(hs & np.uint64(63)).astype(np.int64)].tolist()
-
-
 def _render_pages_batch(idx: np.ndarray, n_pages: int, avg_links: int, seed: int):
     """Render a whole BATCH of pages: list of (url, ts_us, html_bytes,
     text, lang) rows.

@@ -192,6 +192,20 @@ def test_round_half_away_matches_duckdb():
     inner()
 
 
+def test_minhash_dedup_pairs_rounds_like_duckdb():
+    """65/128 = 0.5078125 sits exactly on a 6-digit boundary: np.round
+    gives 0.507812 (half to even), the oracle's ROUND 0.507813."""
+    import pyarrow as pa
+
+    from signal_collect_ray.pipelines.queries import _round_jaccard
+
+    j = 65 / 128
+    want = duckdb.connect().execute("SELECT ROUND(?, 6)", [j]).fetchone()[0]
+    assert want == 0.507813
+    tbl = pa.table({"id_a": [1], "id_b": [2], "jaccard": [j]})
+    assert _round_jaccard(tbl).column("jaccard").to_pylist() == [want]
+
+
 def test_bpe_merges_tiny_corpus():
     """First merges on a hand-computable corpus: 'low low lower' has
     'l o' (3 occurrences) as the top pair, ties broken lexicographically."""

@@ -2,7 +2,8 @@
 the durable executor, whose per-block combiners bound each hub's collect
 group at the signal block count, and on the resident executor's
 hub-oblivious exchange. Durable manifests keep their per-partition
-group census keys."""
+group census keys; resident manifests count the signal rows each
+partition received."""
 
 import glob
 import json
@@ -28,9 +29,8 @@ def test_hub_pagerank_durable_equals_resident(tmp_path):
     cfg = EngineConfig(num_partitions=8, eps=0.0, max_supersteps=6)
     durable_dir = str(tmp_path / "durable")
     a = SuperstepEngine(cfg).run(g, PageRank(), run_dir=durable_dir, resume=False)
-    b = ResidentEngine(cfg).run(
-        g, PageRank(), run_dir=str(tmp_path / "resident"), resume=False
-    )
+    resident_dir = str(tmp_path / "resident")
+    b = ResidentEngine(cfg).run(g, PageRank(), run_dir=resident_dir, resume=False)
     assert a.supersteps == b.supersteps == 6
     ta, tb = a.state_table(), b.state_table()
     assert ta.column("vid").to_pylist() == tb.column("vid").to_pylist()
@@ -46,3 +46,10 @@ def test_hub_pagerank_durable_equals_resident(tmp_path):
         assert parts
         for p in parts:
             assert {"max_group_rows", "signal_rows_in"} <= set(p), (path, p)
+    resident = sorted(glob.glob(os.path.join(resident_dir, "step=*", "manifest.json")))
+    assert len(resident) == 7
+    for path in resident[1:]:
+        with open(path) as f:
+            m = json.load(f)
+        assert m["signal_rows"] > 0, path
+        assert all("signal_rows_in" in p for p in m["parts"]), path
