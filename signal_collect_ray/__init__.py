@@ -4,12 +4,13 @@ A from-scratch reimplementation of the query / data-processing
 capabilities of uzh/signal-collect (vertex-centric signal/collect model,
 reference at /root/reference) re-expressed Ray-Data-first:
 
-* each superstep = one Ray Data pipeline:
-  ``read_parquet(state checkpoint) → map_batches(SignalStage tasks
-  over CSR edge partitions, zero-copy Arrow) → groupby(dst_part)
-  shuffle of pre-combined signals → map_groups(collect: vectorized
-  per-partition state update + Parquet checkpoint shard + lineage and
-  metrics row)``
+* each superstep = one round of W workers (``engine_resident._Worker
+  .collect_and_signal``): collect the signals addressed to a worker's
+  partitions (vectorized per-partition state update), then signal over
+  its CSR edge partitions with a per-destination combiner, exchanging
+  pre-combined signal blocks through the object store. The durable
+  engine runs the round as stateless tasks over per-partition Parquet
+  checkpoints; the resident engine keeps the workers as actors.
 * score-guided scheduling mirrors signalThreshold / collectThreshold
   (reference ``ExecutionConfiguration.scala:31,46-52``)
 * per-superstep per-partition Parquet checkpoints with lineage+metrics

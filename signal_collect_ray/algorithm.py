@@ -4,8 +4,9 @@ The reference's algorithm API is "subclass DataGraphVertex/DataFlowVertex
 + DefaultEdge" (``/root/reference/src/main/scala/com/signalcollect/
 DataGraphVertex.scala:35-103``, ``DataFlowVertex.scala:36-89``,
 ``DefaultEdge.scala:33-78``). Here an algorithm is a small vectorized
-spec over numpy arrays; the engine turns it into per-superstep Ray Data
-pipelines. All hooks operate on whole partitions (columns), never rows.
+spec over numpy arrays; the executors run its hooks once per partition
+per superstep. All hooks operate on whole partitions (columns), never
+rows.
 
 Semantics mapping:
 
@@ -16,9 +17,9 @@ Semantics mapping:
 * ``combine``         ≙ the associative+commutative pre-aggregation that
                         replaces BulkMessageBus batching
                         (``messaging/BulkMessageBus.scala:30-51``) — it
-                        runs once per signal block (combiner) and once
-                        per partition (final), so it must be idempotent
-                        under re-application.
+                        runs once per sending partition (combiner) and
+                        once per receiving partition (final), so it must
+                        be idempotent under re-application.
 * ``collect``         ≙ ``DataGraphVertex.collect`` / ``DataFlowVertex
                         .collect`` + ``scoreSignal`` residual scoring
                         (``examples/PageRank.scala:59-68``).
@@ -90,10 +91,11 @@ class Algorithm:
     #: (piggybacked on the collect metrics rows — no extra pass), folds
     #: the partials with ``reduce_global``, records the value in the
     #: step manifest (JSON-serializable ⇒ resume-safe), and assigns
-    #: ``self.global_value`` before constructing the NEXT superstep's
-    #: stages, so signal/collect see the PREVIOUS step's aggregate —
-    #: exactly the dangling-mass term of textbook PageRank. Durable
-    #: engine only (like ``edge_deltas``).
+    #: ``self.global_value`` before the next collect, so collect sees
+    #: the PREVIOUS step's aggregate — exactly the dangling-mass term of
+    #: textbook PageRank. ``src_values`` must not read it: a round's
+    #: signal half runs right after its collect, before that step's
+    #: aggregate exists. Durable engine only (like ``edge_deltas``).
     has_global: bool = False
     #: The reduced aggregate of the previous superstep's state (None at
     #: superstep 1 only if the engine didn't compute an init value).
@@ -108,7 +110,7 @@ class Algorithm:
         """Fold the per-partition partials (driver side, O(partitions))."""
         raise NotImplementedError
 
-    #: Dense scatter aggregation (resident executor fast path): "sum",
+    #: Dense scatter aggregation (synchronous executors' fast path): "sum",
     #: "min" or "max" when the per-edge signal is a single value combined with a
     #: commutative monoid — aggregation becomes bincount/minimum.at over
     #: the global dense vertex index (no sorting in the superstep hot

@@ -45,9 +45,11 @@ class EngineConfig:
     # cadences force syncs at their own multiples regardless.
     convergence_check_interval: int = 1
 
-    # Checkpointing: every superstep by default (the north rule requires
-    # per-superstep resumable checkpoints). Raise to trade durability for
-    # speed on long runs.
+    # Resident-executor checkpoint cadence: every superstep by default
+    # (the north rule requires per-superstep resumable checkpoints).
+    # Raise to trade durability for speed on long runs. The durable
+    # engine keeps its state in its step checkpoints, so it writes one
+    # every superstep whatever this says.
     checkpoint_interval: int = 1
 
     # Keep only the newest N COMPLETE checkpoints (None = keep all).
@@ -61,10 +63,10 @@ class EngineConfig:
     # DefaultHandlerFactory): "drop" (count in manifests — our default),
     # "raise" (reference default: throw), or "create" (auto-create the
     # missing vertex via algo.init with no out-edges and deliver —
-    # NonExistentVertexHandlerSpec behavior). "raise"/"create" are
-    # honored by the durable SuperstepEngine and the AsyncEngine (one
-    # handler, partition.deliver); the resident executor's dense path
-    # requires a closed vertex set and supports "drop" only.
+    # NonExistentVertexHandlerSpec behavior). Every executor honours all
+    # three (one handler, partition.deliver). The dense exchange needs a
+    # closed vertex set, so the synchronous executors pick it only under
+    # "drop" on a graph without dangling edges.
     on_undeliverable: str = "drop"
 
     # Resident-executor fault tolerance: when a worker actor dies

@@ -2,21 +2,18 @@
 
 One superstep ≙ the reference's synchronous signalStep + awaitIdle +
 collectStep loop (``DefaultGraph.scala:311-343``,
-``WorkerImplementation.scala:285-297``), expressed as ONE Ray Data
-pipeline:
-
-    read_parquet(state checkpoint, one shard per partition)
-      → map_batches(SignalStage, zero-copy Arrow, stateless tasks)
-          # per-partition CSR from the object store; emits signal rows
-          # ALREADY combiner-pre-aggregated per (block, dst) — this is
-          # what makes web-graph hub skew survivable: a hub with 10^8
-          # in-edges receives at most num_blocks pre-combined rows, not
-          # 10^8 raw signals (reference has no combiner at all,
-          # WorkerImplementation.scala:225-272).
-      → groupby(dst_part)          # the ONLY all-to-all exchange
-      → map_groups(CollectStage)   # final combine + vectorized collect,
-          # writes the partition's checkpoint shard + returns a
-          # lineage/metrics row
+``WorkerImplementation.scala:285-297``), run as W stateless Ray tasks.
+Each task builds a plain ``engine_resident._Worker`` over its
+partitions (p % W), loads step k−1's checkpoint shards, runs the same
+fused round as the resident executor (``_Worker.collect_and_signal``:
+collect step k's signals, then signal step k+1 over the per-partition
+CSR blocks from the object store, combiner-pre-aggregated per
+destination), writes step k's shards and returns its outbox, unfetched,
+plus one metrics row per partition. The next round's tasks read their
+slice of every outbox straight from the object store. A partition with
+no scheduled vertex that received no signal is dormant: its shard is
+hard-linked from step k−1, so sparse-frontier runs (CC, SSSP) do not
+rewrite quiet partitions.
 
 Convergence ≙ the reference's termination detection
 (``DefaultCoordinator.scala:255-304``): the superstep barrier makes it a
@@ -49,7 +46,7 @@ import pyarrow.parquet as pq
 from signal_collect_ray import partition
 from signal_collect_ray.algorithm import Algorithm
 from signal_collect_ray.config import EngineConfig
-from signal_collect_ray.util import isin_sorted, part_of
+from signal_collect_ray.util import isin_sorted
 
 
 def _coerce_gpartial(v) -> str:
@@ -65,144 +62,93 @@ def _coerce_gpartial(v) -> str:
     return json.dumps(v, default=float)
 
 
-def _metrics_table(row: dict) -> pa.Table:
-    """One partition's lineage/metrics row as the stages return it."""
-    return pa.table(
-        {
-            "part": pa.array([row["part"]], pa.int32()),
-            "n_vertices": pa.array([row["n_vertices"]], pa.int64()),
-            "n_active": pa.array([row["n_active"]], pa.int64()),
-            "residual_max": pa.array([row["residual_max"]], pa.float64()),
-            "edges_traversed": pa.array([row["edges_traversed"]], pa.int64()),
-            "signal_rows_in": pa.array([row["signal_rows_in"]], pa.int64()),
-            "undeliverable": pa.array([row["undeliverable"]], pa.int64()),
-            "collect_s": pa.array([row.get("collect_s", 0.0)], pa.float64()),
-            "gpartial": pa.array([row["gpartial"]], pa.string()),
-        }
-    )
+def vertex_files(graph) -> Dict[int, str]:
+    """{partition → the graph's vertex shard file}."""
+    return {
+        int(os.path.basename(f).split("-")[1].split(".")[0]): f
+        for f in graph.vertex_files()
+    }
 
 
-def _signal_schema(algo: Algorithm) -> pa.Schema:
-    return pa.schema(
-        [("dst_part", pa.int32()), ("dst", pa.int64())]
-        + [(n, t) for n, t in algo.signal_fields]
-    )
+def _round_task(wid, parts, shared, global_value, state, inbox, modes, out_dir):
+    """One worker's share of a durable superstep round, as a stateless
+    task on a plain ``_Worker``: load ``state`` (a step dir, or the
+    vertex files at init), run the resident round — collect ``inbox``
+    (None: nothing to collect) with mode ``modes[0]``, then signal with
+    mode ``modes[1]`` (None: no signal half) — and write the new shards
+    to ``out_dir`` (None: write nothing). Returns ``(outbox, metrics)``."""
+    from signal_collect_ray.engine_resident import _Worker
+
+    worker = _Worker(wid, parts, *shared)
+    # collect reads the previous step's aggregate (Algorithm.has_global)
+    worker.algo.global_value = global_value
+    if isinstance(state, dict):
+        rows = worker.init_from_vertices(state)
+    else:
+        rows = worker.load_checkpoint(state)
+    mode_collect, mode_signal = modes
+    if inbox is None:
+        outbox = worker.outbox(mode_signal) if mode_signal else {}
+    else:
+        outbox, rows = worker.collect_and_signal(
+            inbox, mode_collect, mode_signal, skip_dormant=True
+        )
+    if out_dir is not None:
+        worker.checkpoint(out_dir, prev_dir=state)
+    return outbox, rows
 
 
-def _empty_signals(algo: Algorithm) -> pa.Table:
-    return _signal_schema(algo).empty_table()
+_ROUND_REMOTE = None
 
 
-class _InitStage:
-    """map_groups fn over vertex shards: write superstep-0 state shard."""
+class _Rounds:
+    """The durable engine's W round tasks, bound to one graph. W comes
+    from the resident pool-size rule, and partition p belongs to task
+    p % W, so the round's outbox routing is the resident one."""
 
-    __name__ = "_InitStage"
+    def __init__(self, graph, algo: Algorithm, threshold: float, on_undeliverable: str):
+        import ray
 
-    def __init__(self, algo: Algorithm, out_dir: str):
-        self.algo, self.out_dir = algo, out_dir
+        from signal_collect_ray.engine_resident import dense_capable, pool_size
 
-    def __call__(self, tbl: pa.Table) -> pa.Table:
-        algo = self.algo
-        d = partition.columns(tbl)
-        p = int(d["part"][0])
-        shard = partition.init_shard(algo, d)
-        partition.write_shard(self.out_dir, p, algo, shard)
-        return _metrics_table(
-            dict(
-                partition.shard_metrics(algo, p, shard),
-                residual_max=1.0,
-                signal_rows_in=0,
-                undeliverable=0,
-                gpartial=partition.global_partial(algo, shard),
-            )
+        global _ROUND_REMOTE
+        if _ROUND_REMOTE is None:
+            _ROUND_REMOTE = ray.remote(_round_task).options(num_returns=2)
+        P = graph.num_partitions
+        W = pool_size(graph, algo)
+        self.parts = [list(range(w, P, W)) for w in range(W)]
+        self.dense = dense_capable(graph, algo, on_undeliverable)
+        self.num_vertices = graph.num_vertices
+        offsets, sizes = graph.part_offsets() if self.dense else (None, None)
+        # put once per graph: the CSR refs and the algorithm are not
+        # re-serialized every superstep
+        self.shared = ray.put(
+            ([graph.csr_refs()], algo, P, W, threshold, offsets, sizes,
+             graph.part_fn, on_undeliverable)
         )
 
+    def mode(self, manifest: dict) -> str:
+        from signal_collect_ray.engine_resident import _exchange_mode
 
-class SignalStage:
-    """Signal phase: state blocks → pre-combined signal rows.
+        return _exchange_mode(self.dense, manifest, self.num_vertices)
 
-    Runs as stateless map_batches tasks; within one task the
-    per-partition CSR object-store gets are cached (zero-copy numpy views
-    onto shared memory).
-    """
+    def run(self, global_value, state, inbox, modes, out_dir=None):
+        """Submit one round and wait for its metrics (the driver commits
+        every step, so a task's inbox is always complete). Returns the
+        outbox refs, unfetched, and the metrics rows."""
+        import ray
 
-    __name__ = "SignalStage"
-
-    def __init__(
-        self,
-        csr_refs: Dict[int, object],
-        algo: Algorithm,
-        num_partitions: int,
-        part_fn=None,
-    ):
-        self.csr_refs = csr_refs
-        self.algo = algo
-        self.P = num_partitions
-        # vertex→partition mapper; must match the graph's build-time
-        # placement (pluggable, MapperSpec.scala:34-83)
-        self.part_fn = part_fn or part_of
-        self._csr_cache: Dict[int, dict] = {}
-
-    def _csr(self, p: int):
-        csr = self._csr_cache.get(p)
-        if csr is None:
-            import ray
-
-            ref = self.csr_refs.get(p)
-            csr = ray.get(ref) if ref is not None else None
-            self._csr_cache[p] = csr
-        return csr
-
-    def _seed_rows(self, d) -> Optional[pa.Table]:
-        """One dst=-1 seed row per partition in this block that must run
-        collect even if it receives no signals (its vertices signaled →
-        their last/active bookkeeping must advance). Emitted here so the
-        engine needs no extra union stage per superstep."""
-        algo = self.algo
-        parts = np.unique(d["part"][partition.scheduled(algo, d)])
-        if not len(parts):
-            return None
-        n = len(parts)
-        cols = {
-            "dst_part": pa.array(parts.astype(np.int32), pa.int32()),
-            "dst": pa.array(np.full(n, -1, dtype=np.int64), pa.int64()),
-        }
-        for name, typ in algo.signal_fields:
-            cols[name] = (
-                pa.array(np.zeros(n), typ)
-                if pa.types.is_floating(typ)
-                else pa.array(np.zeros(n, dtype=np.int64), typ)
+        rets = [
+            _ROUND_REMOTE.remote(
+                w, parts, self.shared, global_value, state, inbox, modes, out_dir
             )
-        return pa.table(cols)
-
-    def __call__(self, tbl: pa.Table) -> pa.Table:
-        algo = self.algo
-        d = partition.columns(tbl)
-        seeds = self._seed_rows(d)
-        pieces: List[pa.Table] = [] if seeds is None else [seeds]
-        mask = partition.senders(algo, d)
-        # a block may hold several partitions' rows; each fans out over
-        # its own CSR block
-        for p in np.unique(d["part"][mask]):
-            sig = partition.signal(
-                algo, self._csr(int(p)), d, mask & (d["part"] == p)
-            )
-            if sig is None:
-                continue
-            dst_u, combined = sig
-            cols = {
-                "dst_part": pa.array(self.part_fn(dst_u, self.P), pa.int32()),
-                "dst": pa.array(dst_u, pa.int64()),
-            }
-            for name, typ in algo.signal_fields:
-                cols[name] = pa.array(combined[name], typ)
-            pieces.append(pa.table(cols))
-        if not pieces:
-            return _empty_signals(algo)
-        return pa.concat_tables(pieces)
+            for w, parts in enumerate(self.parts)
+        ]
+        rows = [r for rs in ray.get([r[1] for r in rets]) for r in rs]
+        return [r[0] for r in rets], rows
 
 
-def _migrate_shard(new_vfile: str, prev_dir: str, algo: Algorithm, out_dir: str) -> dict:
+def _migrate_shard(p: int, new_vfile: str, prev_dir: str, algo: Algorithm, out_dir: str) -> dict:
     """Mid-run mutation state migration for one partition: surviving
     vertices keep their state, vertices new to the mutated graph get
     ``algo.init`` values, refreshed degrees come from the new vertex
@@ -211,7 +157,6 @@ def _migrate_shard(new_vfile: str, prev_dir: str, algo: Algorithm, out_dir: str)
     ``WorkerImplementation.scala:396-414``)."""
     shard = partition.init_shard(algo, partition.read_shard(new_vfile))
     n = len(shard["vid"])
-    p = int(os.path.basename(new_vfile).split("-")[1].split(".")[0])
     old_path = os.path.join(prev_dir, f"part-{p:05d}.parquet")
     if not algo.fresh_state_on_mutation and os.path.exists(old_path) and n:
         old = partition.read_shard(old_path)
@@ -233,85 +178,6 @@ def _migrate_shard(new_vfile: str, prev_dir: str, algo: Algorithm, out_dir: str)
         "undeliverable": 0,
         "gpartial": partition.global_partial(algo, shard),
     }
-
-
-class CollectStage:
-    """Collect phase (map_groups over dst_part): final combine + state
-    update + checkpoint shard write + lineage/metrics row."""
-
-    __name__ = "CollectStage"
-
-    def __init__(
-        self,
-        algo: Algorithm,
-        prev_dir: str,
-        out_dir: str,
-        signal_threshold: float,
-        on_undeliverable: str = "drop",
-    ):
-        self.algo = algo
-        self.prev_dir = prev_dir
-        self.out_dir = out_dir
-        self.threshold = signal_threshold
-        self.on_undeliverable = on_undeliverable
-
-    def __call__(self, tbl: pa.Table) -> pa.Table:
-        t_start = time.perf_counter()
-        algo = self.algo
-        d = partition.columns(tbl)
-        p = int(d["dst_part"][0])
-        prev_path = os.path.join(self.prev_dir, f"part-{p:05d}.parquet")
-        shard = (
-            partition.reset_after_signal(algo, partition.read_shard(prev_path))
-            if os.path.exists(prev_path)
-            else None
-        )
-        keep = d["dst"] >= 0  # drop engine seed rows
-        sig = {k: d[k][keep] for k in ["dst"] + [n for n, _ in algo.signal_fields]}
-        shard, dst, vals, n_rows, n_bad = partition.deliver(
-            algo, p, shard, sig, self.on_undeliverable
-        )
-        if shard is None:
-            return _metrics_table(
-                {
-                    "part": p, "n_vertices": 0, "n_active": 0,
-                    "residual_max": 0.0, "edges_traversed": 0,
-                    "signal_rows_in": n_rows, "undeliverable": n_bad,
-                    "gpartial": "",
-                }
-            )
-        st = algo.collect(shard, dst, vals, self.threshold)
-        new = {**shard, **st}
-        partition.write_shard(self.out_dir, p, algo, new)
-        if algo.emits_mutations:
-            em = algo.emit_edges(shard, st)
-            if em is not None and len(em["src"]):
-                n_em = len(em["src"])
-                pq.write_table(
-                    pa.table(
-                        {
-                            "src": pa.array(em["src"], pa.int64()),
-                            "dst": pa.array(em["dst"], pa.int64()),
-                            "weight": pa.array(
-                                np.asarray(
-                                    em.get("weight", np.ones(n_em)),
-                                    dtype=np.float64,
-                                ),
-                                pa.float64(),
-                            ),
-                        }
-                    ),
-                    os.path.join(self.out_dir, f"emit-{p:05d}.parquet"),
-                )
-        return _metrics_table(
-            dict(
-                partition.shard_metrics(algo, p, new),
-                signal_rows_in=n_rows,
-                undeliverable=n_bad,
-                collect_s=time.perf_counter() - t_start,
-                gpartial=partition.global_partial(algo, new),
-            )
-        )
 
 
 def _part_agg(path, gt):
@@ -491,9 +357,6 @@ class SuperstepEngine:
         start."""
         import ray.data as rd
 
-        from signal_collect_ray.util import silence_empty_block_schema_noise
-
-        silence_empty_block_schema_noise()
         cfg = self.config
         eps = cfg.eps if eps is None else eps
         max_supersteps = (
@@ -518,6 +381,7 @@ class SuperstepEngine:
             "eps": eps,
             "num_partitions": P,
         }
+        rounds = _Rounds(graph, algo, threshold, cfg.on_undeliverable)
 
         # -- resume or init ------------------------------------------------
         start_k = None
@@ -539,33 +403,28 @@ class SuperstepEngine:
             ):
                 shutil.rmtree(d)
             tmp0 = self._step_tmp(run_dir, 0)
-            vds = rd.read_parquet(graph.vertex_files())
-            rows = (
-                vds.groupby("part")
-                .map_groups(_InitStage(algo, tmp0), batch_format="pyarrow")
-                .take_all()
-            )
+            _, rows = rounds.run(None, vertex_files(graph), None, (None, None), tmp0)
+            for r in rows:
+                # step 0 is never converged; a partition that stays
+                # dormant carries this forward until it collects
+                r["residual_max"] = 1.0
             manifest = self._manifest(0, rows, lineage_base, prev_step=None)
             self._reduce_global(algo, manifest)
             self._commit_step(run_dir, 0, tmp0, manifest, cfg.checkpoint_retain)
             per_step = [manifest]
             start_k = 0
 
-        csr_refs = graph.csr_refs()
-        # Seed rows (dst=-1, one per must-run partition) are emitted by
-        # SignalStage itself; dormant partitions (no active vertices, no
-        # incoming signals) are skipped entirely and their checkpoint
-        # shard is hardlinked — the sparse frontier fast path for
-        # CC/SSSP-style algorithms.
-
         # -- superstep loop ------------------------------------------------
         k = start_k
         last = per_step[-1]
         converged = self._is_converged(last, eps, k)
         reason = "Converged" if converged else None
+        # refs to step k+1's signals and their exchange mode; None after
+        # init, resume or a mutation, when a signal-only round issues them
+        outbox, mode = None, None
 
         def mutate(deltas, k_new):
-            nonlocal graph, csr_refs, lineage_base, last
+            nonlocal graph, rounds, lineage_base, last, outbox
             import ray
 
             gdir = os.path.join(run_dir, f"graph-mut-{k_new:05d}")
@@ -574,7 +433,8 @@ class SuperstepEngine:
                 add_edges_ds=deltas.get("add_edges_ds"),
                 remove_edges_ds=deltas.get("remove_edges_ds"),
             )
-            csr_refs = graph.csr_refs()
+            rounds = _Rounds(graph, algo, threshold, cfg.on_undeliverable)
+            outbox = None
             lineage_base = dict(
                 lineage_base, graph_dir=os.path.abspath(graph.graph_dir)
             )
@@ -583,8 +443,8 @@ class SuperstepEngine:
             mig = ray.remote(_migrate_shard)
             rows = ray.get(
                 [
-                    mig.remote(vf, prev_dir, algo, step_tmp)
-                    for vf in graph.vertex_files()
+                    mig.remote(p, vf, prev_dir, algo, step_tmp)
+                    for p, vf in vertex_files(graph).items()
                 ]
             )
             manifest = self._manifest(k_new, rows, lineage_base, prev_step=k_new - 1)
@@ -598,9 +458,10 @@ class SuperstepEngine:
 
         def poll_deltas(kk: int):
             """Pending edits for superstep kk: algorithm-emitted edges
-            (GraphEditor path — `emit-*.parquet` written by CollectStage
-            into step kk's checkpoint dir) take precedence; the driver's
-            edge_deltas callback is polled when nothing was emitted."""
+            (GraphEditor path — `emit-*.parquet` written by the round
+            tasks into step kk's checkpoint dir) take precedence; the
+            driver's edge_deltas callback is polled when nothing was
+            emitted."""
             if algo.emits_mutations:
                 files = sorted(
                     glob.glob(
@@ -641,66 +502,41 @@ class SuperstepEngine:
                     k += 1
                     mutate(deltas, k)
                     continue
-            k += 1
             ts = time.monotonic()
-            if algo.has_global:
-                # previous step's aggregate, visible to this step's
-                # signal/collect (stages capture algo at construction)
-                algo.global_value = last.get("global_value")
+            # collect reads the previous step's aggregate
+            gv = algo.global_value = last.get("global_value")
+            if outbox is None:
+                mode = rounds.mode(last)
+                outbox, _ = rounds.run(
+                    gv, self._step_dir(run_dir, k), None, (None, mode)
+                )
+            k += 1
+            # the run's final step signals nothing: its outbox is dead
+            next_mode = rounds.mode(last) if k < max_supersteps else None
             prev_dir = self._step_dir(run_dir, k - 1)
             step_tmp = self._step_tmp(run_dir, k)
-
-            state = rd.read_parquet(
-                sorted(glob.glob(os.path.join(prev_dir, "part-*.parquet")))
-            )
-            signals = state.map_batches(
-                SignalStage(
-                    csr_refs=csr_refs,
-                    algo=algo,
-                    num_partitions=P,
-                    part_fn=graph.part_fn,
-                ),
-                batch_format="pyarrow",
-                batch_size=None,
-                zero_copy_batch=True,
-            )
-            prev_parts = {p["part"]: p for p in last["parts"]}
-            metrics_rows = (
-                signals.groupby("dst_part")
-                .map_groups(
-                    CollectStage(
-                        algo, prev_dir, step_tmp, threshold,
-                        on_undeliverable=cfg.on_undeliverable,
-                    ),
-                    batch_format="pyarrow",
-                )
-                .take_all()
-            )
-            # dormant partitions: carry the shard + metrics forward
-            processed = {int(r["part"]) for r in metrics_rows}
-            for p, m in prev_parts.items():
-                if p not in processed:
-                    fname = f"part-{p:05d}.parquet"
-                    os.link(
-                        os.path.join(prev_dir, fname),
-                        os.path.join(step_tmp, fname),
-                    )
-                    metrics_rows.append(
-                        {
-                            "part": p,
-                            "n_vertices": m["n_vertices"],
-                            "n_active": 0,
-                            "residual_max": m["residual_max"],
-                            "edges_traversed": 0,
-                            "signal_rows_in": 0,
-                            "undeliverable": 0,
-                            # dormant shard = unchanged state ⇒ its
-                            # global partial carries forward verbatim
-                            "gpartial": m.get("gpartial", ""),
-                        }
-                    )
+            outbox, rows = rounds.run(gv, prev_dir, outbox, (mode, next_mode), step_tmp)
+            mode = next_mode
+            # dormant partitions (no scheduled vertex, no signal rows):
+            # the tasks linked their shards; their metrics carry forward
+            done = {r["part"] for r in rows}
+            rows += [
+                {
+                    "part": m["part"],
+                    "n_vertices": m["n_vertices"],
+                    "n_active": 0,
+                    "residual_max": m["residual_max"],
+                    "edges_traversed": 0,
+                    "signal_rows_in": 0,
+                    "undeliverable": 0,
+                    # unchanged state ⇒ its global partial carries forward
+                    "gpartial": m.get("gpartial", ""),
+                }
+                for m in last["parts"]
+                if m["part"] not in done
+            ]
             manifest = self._manifest(
-                k, metrics_rows, lineage_base, prev_step=k - 1,
+                k, rows, lineage_base, prev_step=k - 1,
                 wall_s=time.monotonic() - ts,
             )
             self._reduce_global(algo, manifest)

@@ -1,29 +1,26 @@
 """Resident BSP executor — the low-latency counterpart of engine.py.
 
-The Ray-Data superstep engine (engine.py) pays one streaming-pipeline
-launch (~0.5-1 s) per superstep — the right trade for durable,
-per-superstep-checkpointed production runs, but pure overhead when a
-superstep's compute is milliseconds. This executor mirrors the
-reference's physical layout instead (one worker per core, partitions
-hashed across workers — ``DefaultGraph.scala:171-205``,
-``DefaultVertexToWorkerMapper.scala:28-35``): W Ray actors each hold
-their partitions' CSR and vertex-state numpy arrays for the whole run;
-a superstep is two actor rounds (signal → exchange refs → collect) with
+Both synchronous executors run the same superstep round,
+``_Worker.collect_and_signal``: collect step k's signals, then compute
+step k+1's outbox. The durable engine (engine.py) runs it as W
+stateless tasks that load, and write, a checkpoint every superstep.
+This executor mirrors the reference's physical layout instead (one
+worker per core, partitions hashed across workers —
+``DefaultGraph.scala:171-205``, ``DefaultVertexToWorkerMapper.scala:
+28-35``): W Ray actors each hold their partitions' CSR and vertex-state
+numpy arrays for the whole run, so a superstep is one actor round with
 signals pre-combined per destination partition before they enter the
-object store (same combiner as engine.py's SignalStage).
+object store.
 
-Semantics are IDENTICAL to engine.py — both call the same per-partition
-kernels in ``partition.py`` (fan-out, combine, delivery, reset-after-
-signal, shard I/O), and equality is asserted in tests. Checkpoint
-shards + manifests use the same format, so a run started under one
-executor resumes under the other. Durability is every
+Checkpoint shards + manifests use the same format, so a run started
+under one executor resumes under the other. Durability is every
 ``checkpoint_interval`` supersteps (+ always at termination) instead of
 every superstep.
 
 Scale note: this is the executor for the throughput/scaling benchmarks
 (BASELINE.md): worker count = cluster cores, exchange = P×P pre-combined
 blocks through the object store — the same shuffle a multi-node Ray
-cluster performs, minus per-step pipeline setup.
+cluster performs.
 """
 
 from __future__ import annotations
@@ -41,7 +38,7 @@ import numpy as np
 from signal_collect_ray import partition
 from signal_collect_ray.algorithm import Algorithm
 from signal_collect_ray.config import EngineConfig
-from signal_collect_ray.engine import ExecutionInformation, SuperstepEngine
+from signal_collect_ray.engine import ExecutionInformation, SuperstepEngine, vertex_files
 from signal_collect_ray.util import part_of
 
 _logger = logging.getLogger("signal_collect_ray.resident")
@@ -54,6 +51,18 @@ _logger = logging.getLogger("signal_collect_ray.resident")
 _DENSE_WORKER_COST = 250.0
 
 
+def dense_capable(graph, algo: Algorithm, on_undeliverable: str) -> bool:
+    """The dense exchange scatters into one vector over the graph's
+    vertex index, so it needs a dense monoid and a closed vertex set:
+    no edge to a missing vertex and no handler that creates one."""
+    return (
+        algo.dense_agg is not None
+        and "part_sizes" in graph.meta
+        and on_undeliverable == "drop"
+        and not graph.meta.get("n_dangling", 0)
+    )
+
+
 def _exchange_mode(dense_capable: bool, manifest: dict, num_vertices: int) -> str:
     """Dense scatter exchange when the frontier is dense enough that raw
     signal rows would exceed one dense vector, else sparse rows."""
@@ -62,9 +71,46 @@ def _exchange_mode(dense_capable: bool, manifest: dict, num_vertices: int) -> st
     return "sparse"
 
 
+def pool_size(graph, algo: Algorithm, num_workers: Optional[int] = None) -> int:
+    """Worker count W of a synchronous run. An explicit ``num_workers``
+    is honoured up to CPUs and partitions (the caller may know its
+    interconnect); None auto-sizes with the per-step cost model."""
+    import ray
+
+    P = graph.num_partitions
+    # leave ≥2 CPUs for the driver + raylet: at W == cluster CPUs the
+    # barrier collapses ~5x from oversubscription (measured)
+    cpu_cap = max(1, int(ray.cluster_resources().get("CPU", 4)) - 2)
+    if num_workers is not None:
+        return max(1, min(num_workers, cpu_cap, P))
+    # cap the pool so each worker has enough per-step work to amortize
+    # the barrier (~50k edges/worker floor)
+    W = max(1, min(cpu_cap, P, graph.num_edges // 50_000 + 1))
+    # Dense-exchange algorithms ship O(V/P) slices per partition and
+    # touch an O(V) accumulator per worker, so past E/(2V) workers the
+    # per-worker O(V) term dominates. Per-step cost ≈ α·W (exchange
+    # objects + barrier straggler tail grows with pool size) + E/(W·σ)
+    # (scatter compute) → optimum scales as sqrt(E)/_DENSE_WORKER_COST.
+    # At cluster scale E is orders larger, so this cap stops binding
+    # long before the CPU cap does.
+    if algo.dense_agg is not None and graph.num_vertices > 0:
+        W = max(1, min(W, graph.num_edges // (2 * graph.num_vertices) + 1))
+        sqrt_cap = max(1, int(np.sqrt(graph.num_edges) / _DENSE_WORKER_COST) + 1)
+        if sqrt_cap < W:
+            _logger.info(
+                "worker pool auto-capped at W=%d by the dense per-step "
+                "cost model (sqrt(E)/%g, E=%d); CPUs would allow %d — "
+                "pass num_workers explicitly to override",
+                sqrt_cap, _DENSE_WORKER_COST, graph.num_edges, W,
+            )
+            W = sqrt_cap
+    return W
+
+
 class _Worker:
-    """One resident worker: owns `parts`, their CSR blocks and state
-    shards (partition.py layout)."""
+    """One worker of a synchronous run: owns `parts`, their CSR blocks
+    and state shards (partition.py layout). A resident actor keeps it
+    for the whole run; the durable engine builds one per task."""
 
     def __init__(
         self,
@@ -78,6 +124,7 @@ class _Worker:
         part_offsets=None,
         part_sizes=None,
         part_fn=None,
+        on_undeliverable: str = "drop",
     ):
         import ray
 
@@ -88,6 +135,7 @@ class _Worker:
         self.W = num_workers
         self.threshold = signal_threshold
         self.part_fn = part_fn or part_of
+        self.on_undeliverable = on_undeliverable
         csr_refs = csr_refs_wrapped[0]
         self.csr = {p: ray.get(csr_refs[p]) for p in parts if p in csr_refs}
         # owned partitions that have vertices, in ascending partition order
@@ -97,6 +145,10 @@ class _Worker:
         self.V = int(part_sizes.sum()) if part_sizes is not None else 0
         self._rows_in: Dict[int, int] = {}
         self._undeliverable: Dict[int, int] = {}
+        # per collect: the partitions it left dormant (skip_dormant) and
+        # the edges the collected partitions' vertex programs emitted
+        self._dormant: set = set()
+        self._emitted: Dict[int, dict] = {}
 
     # -- state lifecycle ---------------------------------------------------
     def init_from_vertices(self, vertex_files: Dict[int, str]):
@@ -184,7 +236,26 @@ class _Worker:
             self.algo, self.csr, self.shards, self.part_fn, self.P, self.W
         )
 
-    def collect_dense(self, entries: list):
+    def outbox(self, mode: str):
+        return self.signal_dense() if mode == "dense" else self.signal()
+
+    def _dormant_skip(self, p: int, shard: dict, received) -> bool:
+        """Under ``skip_dormant``: a partition with no scheduled vertex
+        that received nothing keeps its state, so collect leaves it
+        alone and the durable checkpoint links its shard."""
+        if p in received or partition.scheduled(self.algo, shard).any():
+            return False
+        self._dormant.add(p)
+        return True
+
+    def _collected(self, p: int, prev: dict, st: dict) -> None:
+        self.shards[p] = {**prev, **st}
+        if self.algo.emits_mutations:
+            em = self.algo.emit_edges(prev, st)
+            if em is not None and len(em["src"]):
+                self._emitted[p] = em
+
+    def collect_dense(self, entries: list, skip_dormant: bool = False):
         """Dense collect: elementwise sum/min of the received dense
         per-partition slices, then the algorithm's vectorized dense
         collect. Zero sorting, zero searching. ``entries`` are this
@@ -213,7 +284,10 @@ class _Worker:
                 else:
                     np.minimum(cur, arr, out=cur)
         self._rows_in, self._undeliverable = rows_in, {}
+        self._dormant, self._emitted = set(), {}
         for p, shard in self.shards.items():
+            if skip_dormant and self._dormant_skip(p, shard, acc):
+                continue
             inc = acc.get(p)
             if inc is None:
                 n = len(shard["vid"])
@@ -223,10 +297,10 @@ class _Worker:
                     else np.full(n, algo.dense_identity, dtype=algo.dense_dtype)
                 )
             prev = partition.reset_after_signal(algo, shard)
-            self.shards[p] = {**prev, **algo.collect_dense(prev, inc, self.threshold)}
+            self._collected(p, prev, algo.collect_dense(prev, inc, self.threshold))
         return self._metrics()
 
-    def collect(self, entries: list):
+    def collect(self, entries: list, skip_dormant: bool = False):
         """Apply incoming signals to owned partitions; returns metrics.
 
         ``entries`` are this worker's own inbox entries, one per sender
@@ -235,25 +309,28 @@ class _Worker:
         per_part = partition.by_partition((e for e in entries if e), self.P)
         none = partition.empty_signals(algo)
         self._rows_in, self._undeliverable = {}, {}
+        self._dormant, self._emitted = set(), {}
         for p in self.parts:
-            shard = self.shards.get(p)
+            shard, sig = self.shards.get(p), per_part.get(p)
+            if sig is None and (
+                shard is None or skip_dormant and self._dormant_skip(p, shard, per_part)
+            ):
+                continue
             if shard is not None:
                 shard = partition.reset_after_signal(algo, shard)
-            # the closed vertex set (_prepare refuses dangling edges)
-            # makes every signal deliverable; "drop" only counts
             shard, dst, vals, n_rows, n_bad = partition.deliver(
-                algo, p, shard, per_part.get(p, none), "drop"
+                algo, p, shard,
+                none if sig is None else sig,
+                self.on_undeliverable,
             )
             self._rows_in[p], self._undeliverable[p] = n_rows, n_bad
             if shard is not None:
-                self.shards[p] = {
-                    **shard, **algo.collect(shard, dst, vals, self.threshold)
-                }
+                self._collected(p, shard, algo.collect(shard, dst, vals, self.threshold))
         return self._metrics()
 
     def collect_and_signal(
-        self, outbox_refs: list, mode_collect: str, mode_signal: str,
-        skip_signal: bool = False,
+        self, outbox_refs: list, mode_collect: str, mode_signal: Optional[str],
+        skip_dormant: bool = False,
     ):
         """Fused superstep round: collect step k's signals, then
         immediately compute step k+1's outbox — ONE actor barrier per
@@ -265,24 +342,20 @@ class _Worker:
         exchange was restructured to per-receiver return slots), and
         receivers map the sender outbox zero-copy and deserialize only
         W concatenated entries (see signal_dense / signal).
-        ``skip_signal`` elides the signal half on the run's final
+        ``mode_signal`` None elides the signal half on the run's final
         possible step (its outbox could never be collected — notable for
-        always_signal algorithms on fixed-k runs)."""
+        always_signal algorithms on fixed-k runs). ``skip_dormant``
+        leaves dormant partitions uncollected and out of the metrics
+        (the durable engine carries them forward)."""
         import ray
 
         outs = ray.get(outbox_refs)
         entries = [o.get(self.wid) if o else None for o in outs]
         t0 = time.perf_counter()
-        rows = (
-            self.collect_dense(entries)
-            if mode_collect == "dense"
-            else self.collect(entries)
-        )
+        collect = self.collect_dense if mode_collect == "dense" else self.collect
+        rows = collect(entries, skip_dormant)
         t1 = time.perf_counter()
-        if skip_signal:
-            outbox = {}
-        else:
-            outbox = self.signal_dense() if mode_signal == "dense" else self.signal()
+        outbox = self.outbox(mode_signal) if mode_signal else {}
         t2 = time.perf_counter()
         # Timeable rebuild (Timeable.scala:7-66) at partition granularity:
         # the vectorized engine processes a partition's vertices in one
@@ -348,18 +421,40 @@ class _Worker:
         return sorted(srcs)
 
     # -- durability --------------------------------------------------------
-    def checkpoint(self, out_dir: str):
-        partition.write_shards(out_dir, self.algo, self.shards)
+    def checkpoint(self, out_dir: str, prev_dir: Optional[str] = None):
+        """Write the owned shards and emitted edges; a dormant
+        partition's unchanged shard is hard-linked from ``prev_dir``, so
+        sparse-frontier runs do not rewrite quiet partitions."""
+        for p, shard in self.shards.items():
+            if p in self._dormant:
+                name = f"part-{p:05d}.parquet"
+                os.link(os.path.join(prev_dir, name), os.path.join(out_dir, name))
+            else:
+                partition.write_shard(out_dir, p, self.algo, shard)
+        for p, em in self._emitted.items():
+            partition.write_emitted(out_dir, p, em)
 
     def _metrics(self):
-        return [
-            dict(
-                partition.shard_metrics(self.algo, p, shard),
+        rows = []
+        for p in self.parts:
+            shard = self.shards.get(p)
+            if shard is not None and p not in self._dormant:
+                row = dict(
+                    partition.shard_metrics(self.algo, p, shard),
+                    gpartial=partition.global_partial(self.algo, shard),
+                )
+            elif shard is None and self._rows_in.get(p):
+                # signals to a partition without vertices, none delivered
+                row = dict(part=p, n_vertices=0, n_active=0, residual_max=0.0,
+                           edges_traversed=0, gpartial="")
+            else:
+                continue
+            rows.append(dict(
+                row,
                 signal_rows_in=self._rows_in.get(p, 0),
                 undeliverable=self._undeliverable.get(p, 0),
-            )
-            for p, shard in self.shards.items()
-        ]
+            ))
+        return rows
 
 
 class ResidentEngine:
@@ -375,18 +470,9 @@ class ResidentEngine:
         return SuperstepEngine.recalculate_scores(run_dir)
 
     def __init__(self, config: Optional[EngineConfig] = None, num_workers: Optional[int] = None):
-        import ray
-
         self.config = config or EngineConfig()
-        # explicit num_workers is HONORED (capped only by CPUs and
-        # partitions); None → auto-size with the per-step cost model
-        # (_DENSE_WORKER_COST). A hard-coded heuristic
-        # silently overriding an explicit pool size contradicts the
-        # cluster-scale target — the caller may know its interconnect.
-        self._explicit_workers = num_workers is not None
-        if num_workers is None:
-            num_workers = max(1, int(ray.cluster_resources().get("CPU", 4)))
-        self.W = num_workers
+        # None → auto-size; see pool_size
+        self.num_workers = num_workers
 
     def _prepare(
         self,
@@ -407,12 +493,6 @@ class ResidentEngine:
         import ray
 
         cfg = self.config
-        if cfg.on_undeliverable != "drop":
-            raise NotImplementedError(
-                "the resident executor's dense routing requires a closed "
-                "vertex set; use SuperstepEngine for "
-                f"on_undeliverable={cfg.on_undeliverable!r}"
-            )
         if algo.emits_mutations:
             raise NotImplementedError(
                 f"{algo.name} emits graph mutations (GraphEditor surface) "
@@ -424,12 +504,6 @@ class ResidentEngine:
                 f"{algo.name} uses the per-superstep global aggregator "
                 "(has_global) — implemented on the durable SuperstepEngine "
                 "(the value rides its checkpoint manifests); run that"
-            )
-        if graph.meta.get("n_dangling", 0):
-            raise NotImplementedError(
-                f"graph has {graph.meta['n_dangling']} edges to missing "
-                "vertices; the resident dense path would misroute them — "
-                "run SuperstepEngine (on_undeliverable drop/raise/create)"
             )
         eps = cfg.eps if eps is None else eps
         max_supersteps = (
@@ -453,38 +527,7 @@ class ResidentEngine:
         )
         os.makedirs(run_dir, exist_ok=True)
         P = graph.num_partitions
-        # leave ≥2 CPUs for the driver + raylet: at W == cluster CPUs the
-        # barrier collapses ~5x from oversubscription (measured)
-        cpu_cap = max(1, int(ray.cluster_resources().get("CPU", 4)) - 2)
-        if self._explicit_workers:
-            # explicit pool size: honored up to CPUs and partitions
-            W = max(1, min(self.W, cpu_cap, P))
-        else:
-            # AUTO sizing: cap the pool so each worker has enough
-            # per-step work to amortize the barrier (~50k edges/worker
-            # floor).
-            W = max(1, min(self.W, cpu_cap, P, graph.num_edges // 50_000 + 1))
-            # Dense-exchange algorithms ship O(V/P) slices per partition
-            # and touch an O(V) accumulator per worker, so past E/(2V)
-            # workers the per-worker O(V) term dominates. Per-step cost ≈
-            # α·W (exchange objects + barrier straggler tail grows with
-            # pool size) + E/(W·σ) (scatter compute) → optimum scales as
-            # sqrt(E)/_DENSE_WORKER_COST. At cluster scale E is orders
-            # larger, so this cap stops binding long before the CPU cap
-            # does.
-            if algo.dense_agg is not None and graph.num_vertices > 0:
-                W = max(1, min(W, graph.num_edges // (2 * graph.num_vertices) + 1))
-                sqrt_cap = max(
-                    1, int(np.sqrt(graph.num_edges) / _DENSE_WORKER_COST) + 1
-                )
-                if sqrt_cap < W:
-                    _logger.info(
-                        "resident pool auto-capped at W=%d by the dense "
-                        "per-step cost model (sqrt(E)/%g, E=%d); CPUs would "
-                        "allow %d — pass num_workers explicitly to override",
-                        sqrt_cap, _DENSE_WORKER_COST, graph.num_edges, W,
-                    )
-                    W = sqrt_cap
+        W = pool_size(graph, algo, self.num_workers)
         t0 = time.monotonic()
 
         lineage_base = {
@@ -496,21 +539,13 @@ class ResidentEngine:
             "executor": "resident",
         }
 
-        csr_refs = graph.csr_refs()
-        vertex_files = {
-            int(os.path.basename(f).split("-")[1].split(".")[0]): f
-            for f in graph.vertex_files()
-        }
-        parts_by_worker = {w: [p for p in range(P) if p % W == w] for w in range(W)}
-        offsets, sizes = (None, None)
-        dense_capable = algo.dense_agg is not None and "part_sizes" in graph.meta
-        if dense_capable:
-            offsets, sizes = graph.part_offsets()
+        dense = dense_capable(graph, algo, cfg.on_undeliverable)
+        offsets, sizes = graph.part_offsets() if dense else (None, None)
         WorkerActor = ray.remote(_Worker)
         workers = [
             WorkerActor.options(num_cpus=1).remote(
-                w, parts_by_worker[w], [csr_refs], algo, P, W, threshold,
-                offsets, sizes, graph.part_fn,
+                w, list(range(w, P, W)), [graph.csr_refs()], algo, P, W,
+                threshold, offsets, sizes, graph.part_fn, cfg.on_undeliverable,
             )
             for w in range(W)
         ]
@@ -549,7 +584,9 @@ class ResidentEngine:
             ):
                 shutil.rmtree(d)
             rows = _flatten(
-                ray.get([w.init_from_vertices.remote(vertex_files) for w in workers])
+                ray.get([
+                    w.init_from_vertices.remote(vertex_files(graph)) for w in workers
+                ])
             )
             manifest = SuperstepEngine._manifest(0, rows, lineage_base, None)
             self._checkpoint(workers, run_dir, 0, manifest,
@@ -578,7 +615,7 @@ class ResidentEngine:
             k=k,
             last=last,
             converged=converged,
-            dense_capable=dense_capable,
+            dense_capable=dense,
             threshold=threshold,
             retain=cfg.checkpoint_retain,
             t0=t0,
@@ -671,10 +708,7 @@ class ResidentEngine:
         pending_mode = None
         if not converged:
             pending_mode = _exchange_mode(dense_capable, last, graph.num_vertices)
-            sig_refs = [
-                (w.signal_dense.remote() if pending_mode == "dense" else w.signal.remote())
-                for w in workers
-            ]
+            sig_refs = [w.outbox.remote(pending_mode) for w in workers]
         # Sync batching: rounds are SUBMITTED without fetching metrics —
         # worker round r+1 depends on round r's outbox refs, so Ray
         # chains the supersteps actor-to-actor and the driver pays ONE
@@ -740,11 +774,14 @@ class ResidentEngine:
             k += 1
             if not pending:
                 pending_started[0] = time.monotonic()
-            next_mode = _exchange_mode(dense_capable, last, graph.num_vertices)
+            # the final step's outbox is dead: no signal half
+            next_mode = (
+                _exchange_mode(dense_capable, last, graph.num_vertices)
+                if k < max_supersteps else None
+            )
             rets = [
                 w.collect_and_signal.options(num_returns=2).remote(
-                    sig_refs, pending_mode, next_mode,
-                    k >= max_supersteps,  # final step's outbox is dead
+                    sig_refs, pending_mode, next_mode
                 )
                 for w in workers
             ]
@@ -951,22 +988,17 @@ class InteractiveComputation:
                     ns.dense_capable, ns.last, ns.graph.num_vertices
                 )
                 self._sig_refs = [
-                    (
-                        w.signal_dense.remote()
-                        if self._pending_mode == "dense"
-                        else w.signal.remote()
-                    )
-                    for w in ns.workers
+                    w.outbox.remote(self._pending_mode) for w in ns.workers
                 ]
             ns.k += 1
             t_step = time.monotonic()
-            next_mode = _exchange_mode(
-                ns.dense_capable, ns.last, ns.graph.num_vertices
+            next_mode = (
+                _exchange_mode(ns.dense_capable, ns.last, ns.graph.num_vertices)
+                if ns.k < ns.max_supersteps else None
             )
             rets = [
                 w.collect_and_signal.options(num_returns=2).remote(
-                    self._sig_refs, self._pending_mode, next_mode,
-                    ns.k >= ns.max_supersteps,
+                    self._sig_refs, self._pending_mode, next_mode
                 )
                 for w in ns.workers
             ]

@@ -305,9 +305,9 @@ def top_activity(info, k: int = 5) -> pa.Table:
 
     Granularity deviation, documented: the vectorized engine fuses a
     partition's vertices into one kernel, so time is measured per
-    partition per phase (resident executor attributes worker phase wall
-    by vertex count; the durable executor times each CollectStage call
-    exactly). Returns (part, signal_s, collect_s, total_s) descending.
+    partition per phase (both synchronous executors attribute a worker's
+    phase wall to its partitions by vertex count). Returns (part,
+    signal_s, collect_s, total_s) descending.
     """
     sig: dict = {}
     col: dict = {}

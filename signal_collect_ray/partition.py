@@ -85,6 +85,25 @@ def write_shards(out_dir: str, algo: Algorithm, shards: Dict[int, StateDict]) ->
         write_shard(out_dir, p, algo, shard)
 
 
+def write_emitted(out_dir: str, p: int, em: StateDict) -> None:
+    """Edges partition ``p``'s vertex programs emitted (``emit_edges``),
+    applied by the durable engine at the next superstep boundary."""
+    n = len(em["src"])
+    pq.write_table(
+        pa.table(
+            {
+                "src": pa.array(em["src"], pa.int64()),
+                "dst": pa.array(em["dst"], pa.int64()),
+                "weight": pa.array(
+                    np.asarray(em.get("weight", np.ones(n)), dtype=np.float64),
+                    pa.float64(),
+                ),
+            }
+        ),
+        os.path.join(out_dir, f"emit-{p:05d}.parquet"),
+    )
+
+
 def shard_metrics(algo: Algorithm, p: int, shard: StateDict) -> dict:
     """The manifest metrics of one partition's current state;
     ``edges_traversed`` is the out-degree of next superstep's senders."""

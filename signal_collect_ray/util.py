@@ -169,37 +169,3 @@ def pin_schema(ds, schema):
 
     empty = rd.from_arrow(schema.empty_table())
     return empty.union(ds)
-
-
-_NOISE_FILTER_INSTALLED = False
-
-
-def silence_empty_block_schema_noise():
-    """Drop Ray Data's per-bundle 'Operator produced a RefBundle with a
-    different schema' WARNING. It fires for every EMPTY block flowing
-    through a sort-based groupby (empty blocks lose their schema inside
-    Ray's shuffle — not something user code can pin), which any mostly-
-    converged superstep produces by the dozen; at 10⁹ blocks the log
-    volume is real cost. Installed idempotently at engine entry; all
-    other warnings from that module still pass."""
-    global _NOISE_FILTER_INSTALLED
-    if _NOISE_FILTER_INSTALLED:
-        return
-    import logging
-
-    class _F(logging.Filter):
-        def filter(self, rec: logging.LogRecord) -> bool:
-            return "RefBundle with a different schema" not in rec.getMessage()
-
-    logging.getLogger(
-        "ray.data._internal.execution.streaming_executor_state"
-    ).addFilter(_F())
-    # And the per-unify 'Failed to hash the schemas' WARNING: the
-    # driver-generated testdata parquet carries pandas schema metadata
-    # whose dict payload is unhashable under this pyarrow's
-    # Schema.__hash__; Ray then falls back to full schema unification
-    # (correct), so the warning is pure noise on every block merge.
-    logging.getLogger(
-        "ray.data._internal.arrow_ops.transform_pyarrow"
-    ).setLevel(logging.ERROR)
-    _NOISE_FILTER_INSTALLED = True

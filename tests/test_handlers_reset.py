@@ -154,8 +154,26 @@ def test_undeliverable_create_vertex_async(tmp_path):
     assert labels == {0: 0, 1: 0, 2: 0, 99: 0}
 
 
-def test_resident_refuses_dangling(tmp_path):
-    g = _dangling_graph(tmp_path, "res")
-    eng = ResidentEngine(EngineConfig(num_partitions=2), num_workers=2)
-    with pytest.raises(NotImplementedError):
-        eng.run(g, ConnectedComponents(), run_dir=str(tmp_path / "rres"), resume=False)
+@pytest.mark.parametrize("handler", ["drop", "create", "raise"])
+def test_dangling_durable_equals_resident(tmp_path, handler):
+    """Both synchronous executors run the same round with the same
+    undeliverable handler: equal state tables on a dangling graph, and
+    "raise" raises on both."""
+    g = _dangling_graph(tmp_path, handler)
+    cfg = EngineConfig(num_partitions=2, max_supersteps=20, on_undeliverable=handler)
+    engines = {
+        "durable": SuperstepEngine(cfg),
+        "resident": ResidentEngine(cfg, num_workers=2),
+    }
+    tables = {}
+    for name, eng in engines.items():
+        rdir = str(tmp_path / f"r{name}")
+        if handler == "raise":
+            with pytest.raises(Exception, match="undeliverable"):
+                eng.run(g, ConnectedComponents(), run_dir=rdir, resume=False)
+            continue
+        info = eng.run(g, ConnectedComponents(), run_dir=rdir, resume=False)
+        assert info.converged, name
+        tables[name] = info.state_table().select(["vid", "state"])
+    if handler != "raise":
+        assert tables["durable"].equals(tables["resident"])
