@@ -9,8 +9,8 @@ reference at /root/reference) re-expressed Ray-Data-first:
   partitions (vectorized per-partition state update), then signal over
   its CSR edge partitions with a per-destination combiner, exchanging
   pre-combined signal blocks through the object store. The durable
-  engine runs the round as stateless tasks over per-partition Parquet
-  checkpoints; the resident engine keeps the workers as actors.
+  engine's round tasks read and write per-partition Parquet checkpoints;
+  the resident engine's keep step state in the object store.
 * score-guided scheduling mirrors signalThreshold / collectThreshold
   (reference ``ExecutionConfiguration.scala:31,46-52``)
 * per-superstep per-partition Parquet checkpoints with lineage+metrics

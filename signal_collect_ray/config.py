@@ -3,8 +3,8 @@
 Mirrors the knobs of the reference's ``ExecutionConfiguration.scala``
 (signalThreshold default 0.01, collectThreshold 0.0, steps/time limits —
 lines 31, 46-52, 86-97) plus the Ray-Data-specific physical knobs
-(partition count, checkpoint cadence and retention, resident-worker
-recovery).
+(partition count, checkpoint cadence and retention, round-task
+retries).
 """
 
 from __future__ import annotations
@@ -36,13 +36,12 @@ class EngineConfig:
     time_limit_s: float | None = None
 
     # Resident-executor sync batching: the driver submits this many
-    # superstep rounds before fetching metrics (worker rounds chain
-    # through object-ref dependencies, actor-to-actor). 1 (default) =
-    # check convergence after every superstep, exact round-1 behavior;
-    # > 1 amortizes the driver barrier over short supersteps at the cost
-    # of up to interval-1 overshoot rounds past an eps fixpoint
-    # (fixed-k runs are unaffected). Checkpoint / global-termination
-    # cadences force syncs at their own multiples regardless.
+    # superstep rounds before fetching metrics (round tasks chain
+    # through object-ref dependencies). 1 (default) = one metrics fetch
+    # per superstep; > 1 amortizes the driver barrier over short
+    # supersteps. Either way the run ends at the first converged round:
+    # the rounds submitted past it are dropped. Checkpoint /
+    # global-termination cadences force syncs at their own multiples.
     convergence_check_interval: int = 1
 
     # Resident-executor checkpoint cadence: every superstep by default
@@ -69,12 +68,10 @@ class EngineConfig:
     # "drop" on a graph without dangling edges.
     on_undeliverable: str = "drop"
 
-    # Resident-executor fault tolerance: when a worker actor dies
-    # mid-run (node loss, OOM kill), ResidentEngine.run rebuilds the
-    # pool and resumes from the latest complete per-superstep checkpoint
-    # up to this many times before surfacing the error. 0 disables
-    # recovery (fail fast). The step-0 checkpoint written at start
-    # guarantees a resume point always exists.
+    # Fault tolerance of the synchronous executors: a round task whose
+    # worker process dies (node loss, OOM kill) is retried up to this
+    # many times (its max_retries), and Ray rebuilds lost state objects
+    # from their lineage. 0 disables recovery (fail fast).
     max_worker_restarts: int = 2
 
     # Where runs live unless an explicit run_dir is passed.

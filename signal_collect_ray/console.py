@@ -368,7 +368,7 @@ class ConsoleServer:
                     "numVertices": ns.graph.num_vertices,
                     "numEdges": ns.graph.num_edges,
                     "numPartitions": ns.graph.num_partitions,
-                    "numWorkers": len(ns.workers),
+                    "numWorkers": ns.rounds.W,
                     "graphDir": ns.graph.graph_dir,
                 },
                 "systemProperties": {

@@ -31,6 +31,7 @@ last complete superstep (richer than the reference's idle-only
 
 from __future__ import annotations
 
+import functools
 import glob
 import json
 import os
@@ -70,61 +71,82 @@ def vertex_files(graph) -> Dict[int, str]:
     }
 
 
-def _round_task(wid, parts, shared, global_value, state, inbox, modes, out_dir):
-    """One worker's share of a durable superstep round, as a stateless
-    task on a plain ``_Worker``: load ``state`` (a step dir, or the
-    vertex files at init), run the resident round — collect ``inbox``
-    (None: nothing to collect) with mode ``modes[0]``, then signal with
-    mode ``modes[1]`` (None: no signal half) — and write the new shards
-    to ``out_dir`` (None: write nothing). Returns ``(outbox, metrics)``."""
+def _round_task(wid, parts, shared, global_value, state, modes, out_dir, in_memory, *blocks):
+    """One worker's share of a superstep round, as a stateless task on a
+    plain ``_Worker``. ``state`` is the worker's state before the round:
+    a step dir, the vertex files at init (``{p: path}``), or its shards
+    themselves (``{p: shard}``) when state lives in the object store.
+    ``blocks`` are the worker's CSR blocks, one per owned partition
+    (None: no edges), then the inbox: every sender's outbox (none:
+    nothing to collect). Ray resolves every block before the task
+    starts, since each is a top-level argument. The round collects the
+    inbox with mode ``modes[0]``, signals with mode ``modes[1]`` (None:
+    no signal half) and writes the new shards to ``out_dir`` (None:
+    write nothing). Returns ``(outbox, metrics)``, plus the new shards
+    when ``in_memory``; only a round on disk skips dormant partitions,
+    since its checkpoint links their shards."""
     from signal_collect_ray.engine_resident import _Worker
 
-    worker = _Worker(wid, parts, *shared)
+    n = len(parts)
+    csr = {p: b for p, b in zip(parts, blocks[:n]) if b is not None}
+    inbox = blocks[n:]
+    worker = _Worker(wid, parts, csr, *shared)
     # collect reads the previous step's aggregate (Algorithm.has_global)
     worker.algo.global_value = global_value
-    if isinstance(state, dict):
+    rows = []
+    if isinstance(state, str):
+        rows = worker.load_checkpoint(state)
+    elif all(isinstance(f, str) for f in state.values()):
         rows = worker.init_from_vertices(state)
     else:
-        rows = worker.load_checkpoint(state)
+        worker.shards = state
     mode_collect, mode_signal = modes
-    if inbox is None:
-        outbox = worker.outbox(mode_signal) if mode_signal else {}
-    else:
+    if inbox:
         outbox, rows = worker.collect_and_signal(
-            inbox, mode_collect, mode_signal, skip_dormant=True
+            inbox, mode_collect, mode_signal, skip_dormant=not in_memory
         )
+    else:
+        outbox = worker.outbox(mode_signal) if mode_signal else {}
     if out_dir is not None:
         worker.checkpoint(out_dir, prev_dir=state)
+    if in_memory:
+        return outbox, rows, worker.shards
     return outbox, rows
 
 
-_ROUND_REMOTE = None
-
-
 class _Rounds:
-    """The durable engine's W round tasks, bound to one graph. W comes
-    from the resident pool-size rule, and partition p belongs to task
-    p % W, so the round's outbox routing is the resident one."""
+    """The W round tasks of a synchronous run, bound to one graph. W
+    comes from the pool-size rule, and partition p belongs to task
+    p % W, so the outbox routing is the same on both engines. The
+    durable engine keeps step state in step dirs; the resident engine
+    (``in_memory``) keeps each worker's shards as an object ref that
+    the next round takes as an argument."""
 
-    def __init__(self, graph, algo: Algorithm, threshold: float, on_undeliverable: str):
+    def __init__(self, graph, algo: Algorithm, threshold: float,
+                 on_undeliverable: str, max_retries: int,
+                 num_workers: Optional[int] = None, in_memory: bool = False):
         import ray
 
         from signal_collect_ray.engine_resident import dense_capable, pool_size
 
-        global _ROUND_REMOTE
-        if _ROUND_REMOTE is None:
-            _ROUND_REMOTE = ray.remote(_round_task).options(num_returns=2)
         P = graph.num_partitions
-        W = pool_size(graph, algo)
+        self.W = W = pool_size(graph, algo, num_workers)
         self.parts = [list(range(w, P, W)) for w in range(W)]
+        csr = graph.csr_refs()
+        self.csr = [[csr.get(p) for p in parts] for parts in self.parts]
+        self.algo = algo
+        self.in_memory = in_memory
+        self.max_retries = max_retries
         self.dense = dense_capable(graph, algo, on_undeliverable)
         self.num_vertices = graph.num_vertices
         offsets, sizes = graph.part_offsets() if self.dense else (None, None)
-        # put once per graph: the CSR refs and the algorithm are not
-        # re-serialized every superstep
+        # put once per graph: the algorithm is not re-serialized every
+        # superstep
         self.shared = ray.put(
-            ([graph.csr_refs()], algo, P, W, threshold, offsets, sizes,
-             graph.part_fn, on_undeliverable)
+            (algo, P, W, threshold, offsets, sizes, graph.part_fn, on_undeliverable)
+        )
+        self._remote = remote(_round_task).options(
+            num_returns=3 if in_memory else 2, max_retries=max_retries
         )
 
     def mode(self, manifest: dict) -> str:
@@ -132,20 +154,36 @@ class _Rounds:
 
         return _exchange_mode(self.dense, manifest, self.num_vertices)
 
+    def submit(self, global_value, states, inbox, modes, out_dir=None):
+        """Submit one round without waiting: ``states`` holds one state
+        per worker. Returns one list of refs per return value: the
+        outboxes, the metrics rows and, in memory, the new shards."""
+        rets = [
+            self._remote.remote(
+                w, parts, self.shared, global_value, state, modes, out_dir,
+                self.in_memory, *csr, *(inbox or ()),
+            )
+            for w, (parts, csr, state) in enumerate(zip(self.parts, self.csr, states))
+        ]
+        return [list(r) for r in zip(*rets)]
+
     def run(self, global_value, state, inbox, modes, out_dir=None):
-        """Submit one round and wait for its metrics (the driver commits
-        every step, so a task's inbox is always complete). Returns the
-        outbox refs, unfetched, and the metrics rows."""
+        """Submit one durable round over a state every worker shares and
+        wait for its metrics (the driver commits every step, so a task's
+        inbox is always complete). Returns the outbox refs, unfetched,
+        and the metrics rows."""
         import ray
 
-        rets = [
-            _ROUND_REMOTE.remote(
-                w, parts, self.shared, global_value, state, inbox, modes, out_dir
-            )
-            for w, parts in enumerate(self.parts)
-        ]
-        rows = [r for rs in ray.get([r[1] for r in rets]) for r in rs]
-        return [r[0] for r in rets], rows
+        outbox, rows = self.submit(global_value, [state] * self.W, inbox, modes, out_dir)
+        return outbox, [r for rs in ray.get(rows) for r in rs]
+
+
+@functools.lru_cache(maxsize=None)
+def remote(fn):
+    """``ray.remote(fn)``, made once per process rather than per call."""
+    import ray
+
+    return ray.remote(fn)
 
 
 def _migrate_shard(p: int, new_vfile: str, prev_dir: str, algo: Algorithm, out_dir: str) -> dict:
@@ -184,19 +222,6 @@ def _part_agg(path, gt):
     """Worker-local phase of a global aggregation over one checkpoint
     shard (≙ aggregationOnWorker)."""
     return gt.aggregate_partition(partition.read_shard(path))
-
-
-_PART_AGG_REMOTE = None
-
-
-def _part_agg_remote():
-    """ray.remote wrapper created once per process (not per superstep)."""
-    global _PART_AGG_REMOTE
-    if _PART_AGG_REMOTE is None:
-        import ray
-
-        _PART_AGG_REMOTE = ray.remote(_part_agg)
-    return _PART_AGG_REMOTE
 
 
 @dataclass
@@ -381,7 +406,9 @@ class SuperstepEngine:
             "eps": eps,
             "num_partitions": P,
         }
-        rounds = _Rounds(graph, algo, threshold, cfg.on_undeliverable)
+        rounds = _Rounds(
+            graph, algo, threshold, cfg.on_undeliverable, cfg.max_worker_restarts
+        )
 
         # -- resume or init ------------------------------------------------
         start_k = None
@@ -433,7 +460,9 @@ class SuperstepEngine:
                 add_edges_ds=deltas.get("add_edges_ds"),
                 remove_edges_ds=deltas.get("remove_edges_ds"),
             )
-            rounds = _Rounds(graph, algo, threshold, cfg.on_undeliverable)
+            rounds = _Rounds(
+                graph, algo, threshold, cfg.on_undeliverable, cfg.max_worker_restarts
+            )
             outbox = None
             lineage_base = dict(
                 lineage_base, graph_dir=os.path.abspath(graph.graph_dir)
@@ -561,7 +590,7 @@ class SuperstepEngine:
                 agg = global_termination.reduce(
                     ray.get(
                         [
-                            _part_agg_remote().remote(f, global_termination)
+                            remote(_part_agg).remote(f, global_termination)
                             for f in shards
                         ]
                     )

@@ -1,21 +1,22 @@
 """Resident BSP executor — the low-latency counterpart of engine.py.
 
-Both synchronous executors run the same superstep round,
-``_Worker.collect_and_signal``: collect step k's signals, then compute
-step k+1's outbox. The durable engine (engine.py) runs it as W
-stateless tasks that load, and write, a checkpoint every superstep.
-This executor mirrors the reference's physical layout instead (one
-worker per core, partitions hashed across workers —
-``DefaultGraph.scala:171-205``, ``DefaultVertexToWorkerMapper.scala:
-28-35``): W Ray actors each hold their partitions' CSR and vertex-state
-numpy arrays for the whole run, so a superstep is one actor round with
-signals pre-combined per destination partition before they enter the
-object store.
+Both synchronous executors run the same superstep round as W stateless
+Ray tasks (``engine._round_task`` over a ``_Worker``): collect step k's
+signals, then compute step k+1's outbox, with signals pre-combined per
+destination partition before they enter the object store. Partitions
+are hashed across the W workers as in the reference
+(``DefaultGraph.scala:171-205``, ``DefaultVertexToWorkerMapper.scala:
+28-35``). The engines differ only in where step state lives: the
+durable engine (engine.py) loads and writes a checkpoint every
+superstep, while this one keeps each worker's shards in the object
+store — a round returns them as a ref that the next round takes as an
+argument — so no process is started or stopped per run.
 
 Checkpoint shards + manifests use the same format, so a run started
 under one executor resumes under the other. Durability is every
 ``checkpoint_interval`` supersteps (+ always at termination) instead of
-every superstep.
+every superstep; between checkpoints a lost state object is rebuilt by
+Ray from its lineage.
 
 Scale note: this is the executor for the throughput/scaling benchmarks
 (BASELINE.md): worker count = cluster cores, exchange = P×P pre-combined
@@ -38,7 +39,9 @@ import numpy as np
 from signal_collect_ray import partition
 from signal_collect_ray.algorithm import Algorithm
 from signal_collect_ray.config import EngineConfig
-from signal_collect_ray.engine import ExecutionInformation, SuperstepEngine, vertex_files
+from signal_collect_ray.engine import (
+    ExecutionInformation, SuperstepEngine, _Rounds, remote, vertex_files,
+)
 from signal_collect_ray.util import part_of
 
 _logger = logging.getLogger("signal_collect_ray.resident")
@@ -109,14 +112,14 @@ def pool_size(graph, algo: Algorithm, num_workers: Optional[int] = None) -> int:
 
 class _Worker:
     """One worker of a synchronous run: owns `parts`, their CSR blocks
-    and state shards (partition.py layout). A resident actor keeps it
-    for the whole run; the durable engine builds one per task."""
+    (``{p: block}``) and state shards (partition.py layout). Each round
+    task builds one (engine._round_task)."""
 
     def __init__(
         self,
         worker_id: int,
         parts: List[int],
-        csr_refs_wrapped: list,
+        csr: Dict[int, dict],
         algo: Algorithm,
         num_partitions: int,
         num_workers: int,
@@ -126,8 +129,6 @@ class _Worker:
         part_fn=None,
         on_undeliverable: str = "drop",
     ):
-        import ray
-
         self.wid = worker_id
         self.parts = parts
         self.algo = algo
@@ -136,8 +137,7 @@ class _Worker:
         self.threshold = signal_threshold
         self.part_fn = part_fn or part_of
         self.on_undeliverable = on_undeliverable
-        csr_refs = csr_refs_wrapped[0]
-        self.csr = {p: ray.get(csr_refs[p]) for p in parts if p in csr_refs}
+        self.csr = csr
         # owned partitions that have vertices, in ascending partition order
         self.shards: Dict[int, dict] = {}
         self.offsets = part_offsets
@@ -329,13 +329,14 @@ class _Worker:
         return self._metrics()
 
     def collect_and_signal(
-        self, outbox_refs: list, mode_collect: str, mode_signal: Optional[str],
+        self, outboxes, mode_collect: str, mode_signal: Optional[str],
         skip_dormant: bool = False,
     ):
-        """Fused superstep round: collect step k's signals, then
-        immediately compute step k+1's outbox — ONE actor barrier per
-        superstep instead of two. Returns (outbox, metrics); the driver
-        keeps the outbox as an unfetched ref for the next round. One
+        """Fused superstep round: collect step k's signals from
+        ``outboxes`` (every sender's outbox), then immediately compute
+        step k+1's outbox — ONE barrier per superstep instead of two.
+        Returns (outbox, metrics); the driver keeps the outbox as an
+        unfetched ref for the next round. One
         PLASMA object per sender per round: returns must stay above
         Ray's inline-return path (small returns ship by value through
         the DRIVER — measured 3x slower than plasma at every W when the
@@ -347,10 +348,7 @@ class _Worker:
         always_signal algorithms on fixed-k runs). ``skip_dormant``
         leaves dormant partitions uncollected and out of the metrics
         (the durable engine carries them forward)."""
-        import ray
-
-        outs = ray.get(outbox_refs)
-        entries = [o.get(self.wid) if o else None for o in outs]
+        entries = [o.get(self.wid) if o else None for o in outboxes]
         t0 = time.perf_counter()
         collect = self.collect_dense if mode_collect == "dense" else self.collect
         rows = collect(entries, skip_dormant)
@@ -368,58 +366,6 @@ class _Worker:
             r["signal_s"] = (t2 - t1) * frac
         return outbox, rows
 
-    def aggregate_states(self, gt):
-        """Worker-local phase of a global aggregation
-        (≙ aggregationOnWorker, interfaces/AggregationOperation.scala:27-59)."""
-        return partition.aggregate(gt, self.shards.values())
-
-    def out_neighbors(self, vids: list) -> dict:
-        """Out-neighbor lists for the requested vertex ids, restricted to
-        the CSR partitions this worker owns (≙ the cheap outgoing half of
-        GraphDataProvider.findVicinity, reference
-        console/DataProvider.scala:400-415: "a vertex already knows its
-        outgoing edges"). O(len(vids) · log S) searchsorted probes per
-        owned partition — no scans."""
-        want = np.asarray(sorted(set(int(v) for v in vids)), dtype=np.int64)
-        out: dict = {}
-        if len(want) == 0:
-            return out
-        for p in self.parts:
-            csr = self.csr.get(p)
-            if csr is None or len(csr["src_ids"]) == 0:
-                continue
-            pos = np.searchsorted(csr["src_ids"], want)
-            pos_c = np.minimum(pos, len(csr["src_ids"]) - 1)
-            found = (pos < len(csr["src_ids"])) & (csr["src_ids"][pos_c] == want)
-            for v, j in zip(want[found], pos_c[found]):
-                s, e = int(csr["indptr"][j]), int(csr["indptr"][j + 1])
-                out.setdefault(int(v), []).extend(
-                    int(d) for d in csr["dst"][s:e]
-                )
-        return out
-
-    def in_neighbor_sources(self, vids: list) -> list:
-        """Source vertices of edges pointing INTO the requested set, over
-        this worker's CSR partitions (≙ FindVertexVicinitiesByIdsAggregator
-        — the reference documents the incoming direction as "an expensive
-        operation", console/DataProvider.scala:390-399: one vectorized
-        scan of each owned partition's dst array)."""
-        want = np.asarray(sorted(set(int(v) for v in vids)), dtype=np.int64)
-        srcs: set = set()
-        if len(want) == 0:
-            return []
-        for p in self.parts:
-            csr = self.csr.get(p)
-            if csr is None or len(csr["dst"]) == 0:
-                continue
-            hit = np.flatnonzero(np.isin(csr["dst"], want))
-            if len(hit) == 0:
-                continue
-            # edge i belongs to the src whose indptr range contains i
-            owner = np.searchsorted(csr["indptr"], hit, side="right") - 1
-            srcs.update(int(s) for s in np.unique(csr["src_ids"][owner]))
-        return sorted(srcs)
-
     # -- durability --------------------------------------------------------
     def checkpoint(self, out_dir: str, prev_dir: Optional[str] = None):
         """Write the owned shards and emitted edges; a dormant
@@ -428,7 +374,11 @@ class _Worker:
         for p, shard in self.shards.items():
             if p in self._dormant:
                 name = f"part-{p:05d}.parquet"
-                os.link(os.path.join(prev_dir, name), os.path.join(out_dir, name))
+                out = os.path.join(out_dir, name)
+                # a retried round writes into the same staging dir
+                if os.path.lexists(out):
+                    os.remove(out)
+                os.link(os.path.join(prev_dir, name), out)
             else:
                 partition.write_shard(out_dir, p, self.algo, shard)
         for p, em in self._emitted.items():
@@ -457,9 +407,62 @@ class _Worker:
         return rows
 
 
+def _aggregate(gt, shards: Dict[int, dict]) -> list:
+    """Worker-local phase of a global aggregation over one worker's
+    shards (≙ aggregationOnWorker, interfaces/AggregationOperation.scala:27-59)."""
+    return partition.aggregate(gt, shards.values())
+
+
+def _out_neighbors(vids: list, *blocks) -> dict:
+    """Out-neighbor lists for the requested vertex ids over one worker's
+    CSR blocks (None: a partition without edges) (≙ the cheap outgoing
+    half of GraphDataProvider.findVicinity, reference
+    console/DataProvider.scala:400-415: "a vertex already knows its
+    outgoing edges"). O(len(vids) · log S) searchsorted probes per
+    block — no scans."""
+    want = np.asarray(sorted(set(int(v) for v in vids)), dtype=np.int64)
+    out: dict = {}
+    if len(want) == 0:
+        return out
+    for csr in blocks:
+        if csr is None or len(csr["src_ids"]) == 0:
+            continue
+        pos = np.searchsorted(csr["src_ids"], want)
+        pos_c = np.minimum(pos, len(csr["src_ids"]) - 1)
+        found = (pos < len(csr["src_ids"])) & (csr["src_ids"][pos_c] == want)
+        for v, j in zip(want[found], pos_c[found]):
+            s, e = int(csr["indptr"][j]), int(csr["indptr"][j + 1])
+            out.setdefault(int(v), []).extend(
+                int(d) for d in csr["dst"][s:e]
+            )
+    return out
+
+
+def _in_neighbor_sources(vids: list, *blocks) -> list:
+    """Source vertices of edges pointing INTO the requested set, over
+    one worker's CSR blocks (≙ FindVertexVicinitiesByIdsAggregator — the
+    reference documents the incoming direction as "an expensive
+    operation", console/DataProvider.scala:390-399: one vectorized scan
+    of each block's dst array)."""
+    want = np.asarray(sorted(set(int(v) for v in vids)), dtype=np.int64)
+    srcs: set = set()
+    if len(want) == 0:
+        return []
+    for csr in blocks:
+        if csr is None or len(csr["dst"]) == 0:
+            continue
+        hit = np.flatnonzero(np.isin(csr["dst"], want))
+        if len(hit) == 0:
+            continue
+        # edge i belongs to the src whose indptr range contains i
+        owner = np.searchsorted(csr["indptr"], hit, side="right") - 1
+        srcs.update(int(s) for s in np.unique(csr["src_ids"][owner]))
+    return sorted(srcs)
+
+
 class ResidentEngine:
-    """Actor-resident BSP executor; same Algorithm/checkpoint contracts
-    as SuperstepEngine."""
+    """BSP executor whose step state stays in the object store between
+    supersteps; same Algorithm/checkpoint contracts as SuperstepEngine."""
 
     @staticmethod
     def recalculate_scores(run_dir: str) -> int:
@@ -488,7 +491,7 @@ class ResidentEngine:
         convergence_check_interval: Optional[int],
     ):
         """Shared setup for ``run`` and ``interactive``: validate, resolve
-        config, spawn the worker pool, init-or-resume state, write the
+        config, bind the round tasks, init-or-resume state, write the
         step-0 checkpoint. Returns a namespace the step loop drives."""
         import ray
 
@@ -526,8 +529,6 @@ class ResidentEngine:
             f"{algo.name}-{os.path.basename(graph.graph_dir)}-resident",
         )
         os.makedirs(run_dir, exist_ok=True)
-        P = graph.num_partitions
-        W = pool_size(graph, algo, self.num_workers)
         t0 = time.monotonic()
 
         lineage_base = {
@@ -535,68 +536,46 @@ class ResidentEngine:
             "algorithm": algo.name,
             "signal_threshold": threshold,
             "eps": eps,
-            "num_partitions": P,
+            "num_partitions": graph.num_partitions,
             "executor": "resident",
         }
-
-        dense = dense_capable(graph, algo, cfg.on_undeliverable)
-        offsets, sizes = graph.part_offsets() if dense else (None, None)
-        WorkerActor = ray.remote(_Worker)
-        workers = [
-            WorkerActor.options(num_cpus=1).remote(
-                w, list(range(w, P, W)), [graph.csr_refs()], algo, P, W,
-                threshold, offsets, sizes, graph.part_fn, cfg.on_undeliverable,
-            )
-            for w in range(W)
-        ]
+        rounds = _Rounds(
+            graph, algo, threshold, cfg.on_undeliverable, cfg.max_worker_restarts,
+            num_workers=self.num_workers, in_memory=True,
+        )
 
         per_step: List[dict] = []
-        start_k = None
+        k, source = 0, None  # the start step and where its shards load from
         if resume:
             latest = SuperstepEngine._latest_complete_step(run_dir)
             if latest is not None:
-                with open(
-                    os.path.join(
-                        SuperstepEngine._step_dir(run_dir, latest), "manifest.json"
-                    )
-                ) as f:
+                source = SuperstepEngine._step_dir(run_dir, latest)
+                with open(os.path.join(source, "manifest.json")) as f:
                     m = json.load(f)
                 lg = m.get("lineage", {})
                 if (
                     lg.get("algorithm") == algo.name
                     and lg.get("graph_dir") == lineage_base["graph_dir"]
                 ):
-                    rows = _flatten(
-                        ray.get(
-                            [
-                                w.load_checkpoint.remote(
-                                    SuperstepEngine._step_dir(run_dir, latest)
-                                )
-                                for w in workers
-                            ]
-                        )
-                    )
-                    start_k = latest
-                    per_step = [m]
-        if start_k is None:
+                    k, per_step = latest, [m]
+                else:
+                    source = None
+        if source is None:
             for d in glob.glob(os.path.join(run_dir, "step=*")) + glob.glob(
                 os.path.join(run_dir, ".tmp-step=*")
             ):
                 shutil.rmtree(d)
-            rows = _flatten(
-                ray.get([
-                    w.init_from_vertices.remote(vertex_files(graph)) for w in workers
-                ])
+            source = vertex_files(graph)
+        _, rows, states = rounds.submit(None, [source] * rounds.W, None, (None, None))
+        if not per_step:
+            manifest = SuperstepEngine._manifest(
+                0, _flatten(ray.get(rows)), lineage_base, None
             )
-            manifest = SuperstepEngine._manifest(0, rows, lineage_base, None)
-            self._checkpoint(workers, run_dir, 0, manifest,
+            self._checkpoint(rounds, states, run_dir, 0, manifest,
                              retain=cfg.checkpoint_retain)
             per_step = [manifest]
-            start_k = 0
 
-        k = start_k
         last = per_step[-1]
-        converged = SuperstepEngine._is_converged(last, eps, k)
 
         import types
 
@@ -609,13 +588,13 @@ class ResidentEngine:
             conv_int=conv_int,
             time_limit_s=time_limit_s,
             run_dir=run_dir,
-            workers=workers,
+            rounds=rounds,
+            states=states,
             lineage_base=lineage_base,
             per_step=per_step,
             k=k,
             last=last,
-            converged=converged,
-            dense_capable=dense,
+            converged=SuperstepEngine._is_converged(last, eps, k),
             threshold=threshold,
             retain=cfg.checkpoint_retain,
             t0=t0,
@@ -635,6 +614,10 @@ class ResidentEngine:
         global_termination=None,
         convergence_check_interval: Optional[int] = None,
     ) -> ExecutionInformation:
+        """Run to convergence or a limit. A worker process that dies
+        mid-round is recovered by Ray: the round task is retried up to
+        ``EngineConfig.max_worker_restarts`` times, and lost state
+        objects are rebuilt from their lineage."""
         import ray
 
         ns = self._prepare(
@@ -642,86 +625,35 @@ class ResidentEngine:
             signal_threshold, checkpoint_interval, time_limit_s,
             convergence_check_interval,
         )
-        self._last_ns = ns  # introspection / fault-injection tests
-        restarts = 0
-        t0_orig = ns.t0
-        try:
-            while True:
-                try:
-                    return self._run_loop(ns, graph, algo, global_termination)
-                except ray.exceptions.RayActorError as e:
-                    # a worker actor died mid-run (node loss, OOM kill).
-                    # The per-superstep checkpoints exist precisely for
-                    # this: rebuild the pool and resume from the latest
-                    # complete step instead of losing the whole run —
-                    # on a 256-node cluster a single lost worker must
-                    # not cost a multi-hour 100-TB pass.
-                    restarts += 1
-                    if restarts > self.config.max_worker_restarts:
-                        raise
-                    _logger.warning(
-                        "resident worker pool lost (%s); restarting from "
-                        "the latest checkpoint (attempt %d/%d)",
-                        e, restarts, self.config.max_worker_restarts,
-                    )
-                    for w in ns.workers:
-                        ray.kill(w, no_restart=True)
-                    old_steps = ns.per_step
-                    ns = self._prepare(
-                        graph, algo, ns.run_dir, True, eps, max_supersteps,
-                        signal_threshold, checkpoint_interval, time_limit_s,
-                        convergence_check_interval,
-                    )
-                    # splice pre-crash manifests below the resume point so
-                    # per_step / edges_traversed_total stay complete
-                    ns.per_step = [
-                        m for m in old_steps if m["superstep"] < ns.k
-                    ] + ns.per_step
-                    ns.t0 = t0_orig  # wall / time-limit span the whole run
-                    self._last_ns = ns
-        finally:
-            # release the pool whatever path ends the run: each worker
-            # reserves a CPU slot until the actor dies, and leaving
-            # teardown to async handle-GC starves the next pipeline in
-            # the session (measured: 30 lingering workers left 2/32 CPUs
-            # for a follow-on Ray Data stage)
-            for w in ns.workers:
-                ray.kill(w, no_restart=True)
-
-    def _run_loop(self, ns, graph, algo, global_termination) -> ExecutionInformation:
-        import ray
-
         eps, max_supersteps = ns.eps, ns.max_supersteps
-        ckpt_int, conv_int, time_limit_s = ns.ckpt_int, ns.conv_int, ns.time_limit_s
-        run_dir, workers, lineage_base = ns.run_dir, ns.workers, ns.lineage_base
+        ckpt_int, time_limit_s = ns.ckpt_int, ns.time_limit_s
+        run_dir, rounds, states = ns.run_dir, ns.rounds, ns.states
+        lineage_base = ns.lineage_base
         per_step, k, last, converged = ns.per_step, ns.k, ns.last, ns.converged
-        dense_capable, t0 = ns.dense_capable, ns.t0
         reason = "Converged" if converged else None
 
-        # Fused loop: ONE actor barrier per superstep. Step k's signal
-        # phase runs inside the same actor call that collects step k-1,
-        # so the mode for step k+1's signals is decided from manifest
-        # k-1 (one step stale — mode choice affects only performance,
-        # never results). Outbox refs are never fetched on the driver —
-        # workers exchange them directly through the object store.
+        # Fused loop: ONE round per superstep. Step k's signal phase runs
+        # inside the same task that collects step k-1, so the mode for
+        # step k+1's signals is decided from manifest k-1 (one step
+        # stale — mode choice affects only performance). Outbox and
+        # state refs are never fetched on the driver — each round's
+        # tasks take them as arguments straight from the object store.
         sig_refs = None
         pending_mode = None
         if not converged:
-            pending_mode = _exchange_mode(dense_capable, last, graph.num_vertices)
-            sig_refs = [w.outbox.remote(pending_mode) for w in workers]
+            pending_mode = rounds.mode(last)
+            sig_refs, _, states = rounds.submit(None, states, None, (None, pending_mode))
         # Sync batching: rounds are SUBMITTED without fetching metrics —
-        # worker round r+1 depends on round r's outbox refs, so Ray
-        # chains the supersteps actor-to-actor and the driver pays ONE
-        # metrics fetch per `eff_int` rounds instead of one blocking
-        # barrier per superstep (the dominant cost of small supersteps
-        # under scheduler jitter). eff_int = 1 (default) is the exact
-        # round-1 behavior: convergence checked after every superstep.
-        # With eff_int > 1 an eps-run may overshoot the first converged
-        # round by up to eff_int-1 extra rounds (harmless: the engine
-        # keeps iterating the same fixpoint map; fixed-k runs still stop
-        # at exactly k). Checkpoints and global-termination checks force
+        # round r+1 takes round r's outbox and state refs, so Ray chains
+        # the supersteps task-to-task and the driver pays ONE metrics
+        # fetch per `eff_int` rounds instead of one blocking barrier per
+        # superstep (the dominant cost of small supersteps under
+        # scheduler jitter). Every round's state is its own immutable
+        # ref, so the result stays exact: the run ends at the first
+        # converged round of a batch, and the rounds submitted past it
+        # are dropped. Checkpoints and global-termination checks force
         # the sync cadence down to their own intervals.
-        eff_int = max(1, conv_int)
+        eff_int = max(1, ns.conv_int)
 
         def _must_sync(kk: int) -> bool:
             # batch boundary, end of run, or a cadence the user asked to
@@ -735,17 +667,17 @@ class ResidentEngine:
                     and kk % max(global_termination.interval, 1) == 0
                 )
             )
-        pending: List[tuple] = []  # (k, metrics_refs) awaiting sync
+        pending: List[tuple] = []  # (k, metrics refs, state refs) awaiting sync
 
         def drain_pending():
-            nonlocal last, converged, reason
+            nonlocal k, last, states, converged, reason
             if not pending:
                 return
             t_sync0 = pending_started[0]
-            flat = ray.get([r for _, refs in pending for r in refs])
+            flat = ray.get([r for _, refs, _ in pending for r in refs])
             per_round_wall = (time.monotonic() - t_sync0) / len(pending)
             i = 0
-            for kk, refs in pending:
+            for kk, refs, kk_states in pending:
                 rows = _flatten(flat[i : i + len(refs)])
                 i += len(refs)
                 manifest = SuperstepEngine._manifest(
@@ -753,12 +685,11 @@ class ResidentEngine:
                     wall_s=per_round_wall,
                 )
                 per_step.append(manifest)
-                last = manifest
-                if not converged and SuperstepEngine._is_converged(
-                    manifest, eps, kk
-                ):
+                k, last, states = kk, manifest, kk_states
+                if SuperstepEngine._is_converged(manifest, eps, kk):
                     converged = True
                     reason = "Converged"
+                    break
             pending.clear()
 
         pending_started = [time.monotonic()]
@@ -766,7 +697,7 @@ class ResidentEngine:
             if k >= max_supersteps:
                 reason = "StepsLimitReached"
                 break
-            if time_limit_s is not None and time.monotonic() - t0 > time_limit_s:
+            if time_limit_s is not None and time.monotonic() - ns.t0 > time_limit_s:
                 drain_pending()
                 if not converged:
                     reason = "TimeLimitReached"
@@ -775,18 +706,11 @@ class ResidentEngine:
             if not pending:
                 pending_started[0] = time.monotonic()
             # the final step's outbox is dead: no signal half
-            next_mode = (
-                _exchange_mode(dense_capable, last, graph.num_vertices)
-                if k < max_supersteps else None
+            next_mode = rounds.mode(last) if k < max_supersteps else None
+            sig_refs, rows, states = rounds.submit(
+                None, states, sig_refs, (pending_mode, next_mode)
             )
-            rets = [
-                w.collect_and_signal.options(num_returns=2).remote(
-                    sig_refs, pending_mode, next_mode
-                )
-                for w in workers
-            ]
-            sig_refs = [r[0] for r in rets]
-            pending.append((k, [r[1] for r in rets]))
+            pending.append((k, rows, states))
             pending_mode = next_mode
             if not _must_sync(k):
                 continue
@@ -796,30 +720,23 @@ class ResidentEngine:
                 and global_termination is not None
                 and k % max(global_termination.interval, 1) == 0
             ):
-                agg = global_termination.reduce(
-                    _flatten(
-                        ray.get([w.aggregate_states.remote(global_termination) for w in workers])
-                    )
-                )
+                agg = global_termination.reduce(_aggregate_all(global_termination, states))
                 if global_termination.should_terminate(agg):
                     converged = True
                     reason = "GlobalConstraintMet"
             if converged or (ckpt_int and k % ckpt_int == 0):
-                self._checkpoint(workers, run_dir, k, last, retain=ns.retain)
+                self._checkpoint(rounds, states, run_dir, k, last, retain=ns.retain)
         drain_pending()
         # the final step must exist on disk whatever path ended the loop
         # (in-loop converged/interval checkpoints make this a no-op)
-        if not os.path.exists(
-            os.path.join(SuperstepEngine._step_dir(run_dir, k), "manifest.json")
-        ):
-            self._checkpoint(workers, run_dir, k, last, retain=ns.retain)
+        self._checkpoint(rounds, states, run_dir, k, last, retain=ns.retain)
 
         return ExecutionInformation(
             algorithm=algo.name,
             supersteps=k,
             converged=converged,
             termination_reason=reason or "Converged",
-            wall_s=time.monotonic() - t0,
+            wall_s=time.monotonic() - ns.t0,
             residual_max=last["residual_max"],
             n_active=last["n_active"],
             edges_traversed_total=sum(m.get("edges_next", 0) for m in per_step[:-1]),
@@ -853,19 +770,30 @@ class ResidentEngine:
         return InteractiveComputation(ns)
 
     @staticmethod
-    def _checkpoint(workers, run_dir: str, k: int, manifest: dict,
+    def _checkpoint(rounds, states, run_dir: str, k: int, manifest: dict,
                     retain=None):
+        """Write step k from the workers' state refs (no-op if it is
+        already on disk) and commit it."""
         import ray
 
         if os.path.exists(SuperstepEngine._step_dir(run_dir, k)):
             return
         tmp = SuperstepEngine._step_tmp(run_dir, k)
-        ray.get([w.checkpoint.remote(tmp) for w in workers])
+        write = remote(partition.write_shards).options(max_retries=rounds.max_retries)
+        ray.get([write.remote(tmp, rounds.algo, s) for s in states])
         SuperstepEngine._commit_step(run_dir, k, tmp, manifest, retain)
 
 
 def _flatten(lists):
     return [r for rows in lists for r in rows]
+
+
+def _aggregate_all(agg, states) -> list:
+    """Every partition's partial of a global aggregation, one task per
+    worker over its state ref."""
+    import ray
+
+    return _flatten(ray.get([remote(_aggregate).remote(agg, s) for s in states]))
 
 
 class InteractiveComputation:
@@ -909,40 +837,28 @@ class InteractiveComputation:
         """Global aggregation over the live vertex states (the console's
         mid-run aggregate view). ``agg`` follows the GlobalTermination
         protocol: ``aggregate_partition(cols)`` + ``reduce(partials)``."""
+        return agg.reduce(_aggregate_all(agg, self._ns.states))
+
+    def _probe(self, fn, vids) -> list:
+        """One task per worker over its CSR blocks."""
         import ray
 
-        partials = [
-            x
-            for part in ray.get(
-                [w.aggregate_states.remote(agg) for w in self._ns.workers]
-            )
-            for x in part
-        ]
-        return agg.reduce(partials)
+        return ray.get(
+            [remote(fn).remote(list(vids), *csr) for csr in self._ns.rounds.csr]
+        )
 
     def out_neighbors(self, vids) -> dict:
-        """Merged out-neighbor lists for ``vids`` across the worker pool
+        """Merged out-neighbor lists for ``vids`` across the workers
         (console GraphDataProvider vicinity probes)."""
-        import ray
-
         merged: dict = {}
-        for part in ray.get(
-            [w.out_neighbors.remote(list(vids)) for w in self._ns.workers]
-        ):
+        for part in self._probe(_out_neighbors, vids):
             for v, ds in part.items():
                 merged.setdefault(v, []).extend(ds)
         return merged
 
     def in_neighbor_sources(self, vids) -> list:
         """Vertices with an edge INTO ``vids`` (incoming-vicinity probe)."""
-        import ray
-
-        srcs: set = set()
-        for part in ray.get(
-            [w.in_neighbor_sources.remote(list(vids)) for w in self._ns.workers]
-        ):
-            srcs.update(part)
-        return sorted(srcs)
+        return sorted(set().union(*self._probe(_in_neighbor_sources, vids)))
 
     # -- break conditions (console BreakConditionsProvider surface,
     # reference DefaultGraph.scala:417-427 addCondition/removeCondition,
@@ -974,6 +890,7 @@ class InteractiveComputation:
         import ray
 
         ns = self._ns
+        rounds = ns.rounds
         self.triggered = {}
         for _ in range(n):
             if ns.converged:
@@ -984,29 +901,19 @@ class InteractiveComputation:
             if self._sig_refs is None:
                 # first step after setup/resume: issue the initial signal
                 # phase (one extra barrier, once)
-                self._pending_mode = _exchange_mode(
-                    ns.dense_capable, ns.last, ns.graph.num_vertices
+                self._pending_mode = rounds.mode(ns.last)
+                self._sig_refs, _, ns.states = rounds.submit(
+                    None, ns.states, None, (None, self._pending_mode)
                 )
-                self._sig_refs = [
-                    w.outbox.remote(self._pending_mode) for w in ns.workers
-                ]
             ns.k += 1
             t_step = time.monotonic()
-            next_mode = (
-                _exchange_mode(ns.dense_capable, ns.last, ns.graph.num_vertices)
-                if ns.k < ns.max_supersteps else None
+            next_mode = rounds.mode(ns.last) if ns.k < ns.max_supersteps else None
+            self._sig_refs, rows, ns.states = rounds.submit(
+                None, ns.states, self._sig_refs, (self._pending_mode, next_mode)
             )
-            rets = [
-                w.collect_and_signal.options(num_returns=2).remote(
-                    self._sig_refs, self._pending_mode, next_mode
-                )
-                for w in ns.workers
-            ]
-            self._sig_refs = [r[0] for r in rets]
             self._pending_mode = next_mode
-            rows = _flatten(ray.get([r[1] for r in rets]))
             manifest = SuperstepEngine._manifest(
-                ns.k, rows, ns.lineage_base, prev_step=ns.k - 1,
+                ns.k, _flatten(ray.get(rows)), ns.lineage_base, prev_step=ns.k - 1,
                 wall_s=time.monotonic() - t_step,
             )
             ns.per_step.append(manifest)
@@ -1035,24 +942,18 @@ class InteractiveComputation:
         already exists on disk)."""
         ns = self._ns
         ResidentEngine._checkpoint(
-            ns.workers, ns.run_dir, ns.k, ns.last, retain=ns.retain
+            ns.rounds, ns.states, ns.run_dir, ns.k, ns.last, retain=ns.retain
         )
 
     def finish(self) -> ExecutionInformation:
-        """Persist the final step and return the execution information."""
+        """Persist the final step and return the execution information.
+        The computation stays inspectable afterwards (live aggregates
+        over the final state); its state objects are freed when this
+        object is dropped."""
         ns = self._ns
-        if not os.path.exists(
-            os.path.join(
-                SuperstepEngine._step_dir(ns.run_dir, ns.k), "manifest.json"
-            )
-        ):
-            self.checkpoint()
+        self.checkpoint()
         if self.reason is None:
             self.reason = "TerminatedByUser"
-        # NOTE: the pool is NOT killed here — the console surface stays
-        # inspectable after finish() (live aggregates over final state);
-        # resident workers hold no peer handles, so dropping this
-        # InteractiveComputation reclaims their CPU slots via handle-GC.
         return ExecutionInformation(
             algorithm=ns.algo.name,
             supersteps=ns.k,

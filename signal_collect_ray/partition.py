@@ -3,7 +3,7 @@
 The reference has one signal operation and one collect operation per
 vertex (``Vertex.scala``, ``Edge.scala``); this module is their one
 vectorized home at partition granularity. The durable
-``SuperstepEngine`` (engine.py), the resident actor executor
+``SuperstepEngine`` (engine.py), the resident executor
 (engine_resident.py) and the async executor (engine_async.py) all call
 these functions and keep only their own scheduling and transport.
 

@@ -68,3 +68,30 @@ def test_vertexless_partition_going_quiet(tmp_path):
     t = info.state_table()
     assert t.column("vid").to_pylist() == sorted(live.tolist())
     assert set(t.column("state").to_pylist()) == {int(live.min())}
+
+
+def test_dormant_link_replaces_a_retried_rounds_link(tmp_path):
+    # Ray retries a round whose worker died, and the retry checkpoints
+    # into the same staging dir: linking the dormant shard again must
+    # replace the first attempt's link, not raise FileExistsError
+    from signal_collect_ray import partition
+    from signal_collect_ray.engine_resident import _Worker
+
+    algo = ConnectedComponents()
+    shard = partition.init_shard(algo, {
+        "vid": np.arange(3, dtype=np.int64),
+        "out_degree": np.zeros(3, dtype=np.int64),
+        "sum_out_weight": np.zeros(3),
+    })
+    prev, out = tmp_path / "step-prev", tmp_path / "staging"
+    prev.mkdir()
+    out.mkdir()
+    partition.write_shard(str(prev), 0, algo, shard)
+    w = _Worker(0, [0, 1], {}, algo, 2, 1, 0.0)
+    w.shards = {0: shard, 1: shard}
+    w._dormant = {0}
+    for _ in range(2):
+        w.checkpoint(str(out), prev_dir=str(prev))
+    name = "part-00000.parquet"
+    assert os.stat(out / name).st_ino == os.stat(prev / name).st_ino
+    assert (out / "part-00001.parquet").exists()
