@@ -10,7 +10,10 @@ reference at /root/reference) re-expressed Ray-Data-first:
   its CSR edge partitions with a per-destination combiner, exchanging
   pre-combined signal blocks through the object store. The durable
   engine's round tasks read and write per-partition Parquet checkpoints;
-  the resident engine's keep step state in the object store.
+  the resident engine's keep step state in the object store. An
+  algorithm may opt into pointer jumping (``Algorithm.pointer``): gather
+  requests and their replies ride the same exchange, which gives
+  connected components its O(log n) supersteps.
 * score-guided scheduling mirrors signalThreshold / collectThreshold
   (reference ``ExecutionConfiguration.scala:31,46-52``)
 * per-superstep per-partition Parquet checkpoints with lineage+metrics

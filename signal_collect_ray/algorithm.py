@@ -23,6 +23,9 @@ Semantics mapping:
 * ``collect``         ≙ ``DataGraphVertex.collect`` / ``DataFlowVertex
                         .collect`` + ``scoreSignal`` residual scoring
                         (``examples/PageRank.scala:59-68``).
+* ``pointer``         — opt-in pointer jumping (no reference
+                        counterpart): a vertex also collects the signal
+                        value of the vertex its state names.
 """
 
 from __future__ import annotations
@@ -175,6 +178,25 @@ class Algorithm:
         (dst sorted ascending, subset of prev["vid"]).
         """
         raise NotImplementedError
+
+    def pointer(self, shard: StateDict) -> Optional[np.ndarray]:
+        """Opt-in gather-by-id (pointer jumping) for the synchronous
+        executors: for every vertex of a collected partition (full
+        shard columns, sorted by vid), the id of the vertex whose signal
+        value it should also collect. None (the default) means no
+        gather. A vertex whose state changed in a collect and whose
+        pointer is not its own id sends one request row to the
+        pointer's partition in that round's outbox; the next round's
+        signal half answers it as an ordinary signal row (the target's
+        ``src_values`` → ``edge_values`` with weight 1), so the
+        requester collects it two rounds after its change through the
+        normal combine → collect. Sound only when a collected target
+        value is one the vertex could also have received by propagation
+        (min-label CC: the label names an ancestor, so ``label[label]``
+        is an ancestor's label). A dense round carries its requests and
+        replies as sparse rows beside its dense slices; the async
+        executor ignores the hook."""
+        return None
 
     def emit_edges(
         self, prev: StateDict, new: StateDict

@@ -1,11 +1,29 @@
-"""Connected components — min-label propagation.
+"""Connected components — min-label propagation with shortcutting.
 
 Not an explicit reference example; realized as the reference's SSSP
 pattern (``examples/Sssp.scala:64-69``) with ``StateForwarderEdge``
 (``StateForwarderEdge.scala:28-33``): state₀ = own id, signal = state,
-collect = min(state, signals). Exact labels at convergence; min is
-monotone, so fresh-only signaling (score-gated frontier) is exact.
-Run over a symmetrized edge table for undirected components.
+collect = min(state, signals). Min is monotone, so fresh-only signaling
+(score-gated frontier) is exact. Run over a symmetrized edge table for
+undirected components.
+
+Plain propagation moves a label one hop per superstep, so a path of
+length L costs L supersteps. ``pointer`` = the label opts into the
+synchronous executors' gather (``Algorithm.pointer``): a vertex whose
+label changed also collects ``label[label]``, so CC computes
+``label := min(label, label[label])`` along with the neighbour
+signals — the label + shortcut scheme of Hash-to-Min (ICDE 2013) and
+Stergiou et al. (WSDM 2018), which needs O(log n) rounds.
+
+Exactness: every label is the id of an ancestor of its vertex (a
+vertex with a path to it), because it reached the vertex along edges
+or through a gather; ``label[label]`` is the label of an ancestor, so
+it names an ancestor too. Labels stay ≥ the minimum ancestor id, and at
+the fixpoint (no label changed, every signal collected) ``label[v] ≤
+label[u]`` on every edge u → v, which forces ``label[v]`` = the
+minimum ancestor id — the component minimum on a symmetric graph. A
+reply still in flight at that point is a no-op: the minimum ancestor
+of the minimum ancestor is itself.
 """
 
 from __future__ import annotations
@@ -46,6 +64,9 @@ class ConnectedComponents(Algorithm):
     def combine(self, dst, values):
         d, v = segment_min(dst, values["val"])
         return d, {"val": v}
+
+    def pointer(self, shard: StateDict):
+        return shard["state"]
 
     def collect(self, prev, dst, sig, signal_threshold) -> StateDict:
         state = prev["state"].copy()

@@ -54,9 +54,14 @@ from signal_collect_ray.util import isin_sorted, part_of
 
 
 class _MaxColor(ConnectedComponents):
-    """Max-ancestor-vid propagation = CC's min fold over negated ids."""
+    """Max-ancestor-vid propagation = CC's min fold over negated ids.
+    The negated label is the id of the largest-id ancestor seen so far,
+    so it is the gather pointer (the CC exactness argument, mirrored)."""
 
     name = "scc_color"
+
+    def pointer(self, shard):
+        return -shard["state"]
 
     def init(self, vid, out_degree, sum_out_weight):
         n = len(vid)
@@ -76,6 +81,10 @@ class _BackMark(ConnectedComponents):
 
     def __init__(self, pivots_sorted: np.ndarray):
         self.pivots = pivots_sorted
+
+    def pointer(self, shard):
+        # 0/1 marks are not vertex ids: no gather
+        return None
 
     def init(self, vid, out_degree, sum_out_weight):
         n = len(vid)

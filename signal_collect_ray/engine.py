@@ -83,8 +83,10 @@ def _round_task(wid, parts, shared, global_value, state, modes, out_dir, in_memo
     inbox with mode ``modes[0]``, signals with mode ``modes[1]`` (None:
     no signal half) and writes the new shards to ``out_dir`` (None:
     write nothing). Returns ``(outbox, metrics)``, plus the new shards
-    when ``in_memory``; only a round on disk skips dormant partitions,
-    since its checkpoint links their shards."""
+    when ``in_memory`` — None for a signal-only round over shards, which
+    leaves them as they were, so the caller keeps its refs and the state
+    is not copied into the object store again. Only a round on disk
+    skips dormant partitions, since its checkpoint links their shards."""
     from signal_collect_ray.engine_resident import _Worker
 
     n = len(parts)
@@ -93,13 +95,13 @@ def _round_task(wid, parts, shared, global_value, state, modes, out_dir, in_memo
     worker = _Worker(wid, parts, csr, *shared)
     # collect reads the previous step's aggregate (Algorithm.has_global)
     worker.algo.global_value = global_value
-    rows = []
+    rows, given = [], False
     if isinstance(state, str):
         rows = worker.load_checkpoint(state)
     elif all(isinstance(f, str) for f in state.values()):
         rows = worker.init_from_vertices(state)
     else:
-        worker.shards = state
+        worker.shards, given = state, True
     mode_collect, mode_signal = modes
     if inbox:
         outbox, rows = worker.collect_and_signal(
@@ -110,7 +112,7 @@ def _round_task(wid, parts, shared, global_value, state, modes, out_dir, in_memo
     if out_dir is not None:
         worker.checkpoint(out_dir, prev_dir=state)
     if in_memory:
-        return outbox, rows, worker.shards
+        return outbox, rows, None if given and not inbox else worker.shards
     return outbox, rows
 
 
@@ -157,7 +159,8 @@ class _Rounds:
     def submit(self, global_value, states, inbox, modes, out_dir=None):
         """Submit one round without waiting: ``states`` holds one state
         per worker. Returns one list of refs per return value: the
-        outboxes, the metrics rows and, in memory, the new shards."""
+        outboxes, the metrics rows and, in memory, the new shards (refs
+        to None after a signal-only round over shards)."""
         rets = [
             self._remote.remote(
                 w, parts, self.shared, global_value, state, modes, out_dir,
@@ -214,6 +217,7 @@ def _migrate_shard(p: int, new_vfile: str, prev_dir: str, algo: Algorithm, out_d
         "edges_traversed": 0,
         "signal_rows_in": 0,
         "undeliverable": 0,
+        "gather_rows_in": 0,
         "gpartial": partition.global_partial(algo, shard),
     }
 
@@ -558,6 +562,7 @@ class SuperstepEngine:
                     "edges_traversed": 0,
                     "signal_rows_in": 0,
                     "undeliverable": 0,
+                    "gather_rows_in": 0,
                     # unchanged state ⇒ its global partial carries forward
                     "gpartial": m.get("gpartial", ""),
                 }
@@ -649,6 +654,9 @@ class SuperstepEngine:
                     "edges_next": int(r["edges_traversed"]),
                     "signal_rows_in": int(r["signal_rows_in"]),
                     "undeliverable": int(r["undeliverable"]),
+                    # gather request rows received, which this round's
+                    # signal half answers (Algorithm.pointer)
+                    "gather_rows_in": int(r.get("gather_rows_in", 0)),
                     "signal_s": float(r.get("signal_s", 0.0) or 0.0),
                     "collect_s": float(r.get("collect_s", 0.0) or 0.0),
                     # no per-dst group census runs (per-block combiners
@@ -670,6 +678,7 @@ class SuperstepEngine:
             "edges_next": sum(p["edges_next"] for p in parts),
             "signal_rows": sum(p["signal_rows_in"] for p in parts),
             "undeliverable": sum(p["undeliverable"] for p in parts),
+            "gather_rows": sum(p["gather_rows_in"] for p in parts),
             "lineage": lineage_base,
             "parts": parts,
         }

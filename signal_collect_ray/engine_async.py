@@ -34,6 +34,11 @@ interleaving reaches the same fixpoint. Snapshot algorithms
 neighborhood each round and must run synchronously — the same ordering
 caveat the reference documents for its async modes
 (``ExecutionMode.scala:52-60``).
+
+The gather hook (``Algorithm.pointer``, CC's shortcut) is ignored here:
+it is a superstep-count optimisation of the synchronous round, and
+asynchronous min-label propagation reaches the same exact fixpoint
+without it.
 """
 
 from __future__ import annotations

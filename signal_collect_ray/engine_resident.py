@@ -53,6 +53,9 @@ _logger = logging.getLogger("signal_collect_ray.resident")
 # E=9.6M→W 6–16); an explicit ResidentEngine(num_workers=...) overrides.
 _DENSE_WORKER_COST = 250.0
 
+#: the dense monoids (``Algorithm.dense_agg``)
+_UFUNC = {"sum": np.add, "min": np.minimum, "max": np.maximum}
+
 
 def dense_capable(graph, algo: Algorithm, on_undeliverable: str) -> bool:
     """The dense exchange scatters into one vector over the graph's
@@ -145,10 +148,14 @@ class _Worker:
         self.V = int(part_sizes.sum()) if part_sizes is not None else 0
         self._rows_in: Dict[int, int] = {}
         self._undeliverable: Dict[int, int] = {}
-        # per collect: the partitions it left dormant (skip_dormant) and
-        # the edges the collected partitions' vertex programs emitted
+        # per collect: the partitions it left dormant (skip_dormant), the
+        # edges the collected partitions' vertex programs emitted, each
+        # collected partition's state before the collect (its changed
+        # vertices send gather requests) and the gather requests received
         self._dormant: set = set()
         self._emitted: Dict[int, dict] = {}
+        self._before: Dict[int, np.ndarray] = {}
+        self._asked: Dict[int, dict] = {}
 
     # -- state lifecycle ---------------------------------------------------
     def init_from_vertices(self, vertex_files: Dict[int, str]):
@@ -168,6 +175,13 @@ class _Worker:
         return self._metrics()
 
     # -- superstep ---------------------------------------------------------
+    def _identity(self, n: int) -> np.ndarray:
+        """A dense incoming vector with no signal in it."""
+        algo = self.algo
+        if algo.dense_agg == "sum":
+            return np.zeros(n)
+        return np.full(n, algo.dense_identity, dtype=algo.dense_dtype)
+
     def signal_dense(self):
         """Dense fast path: per-edge values scatter into ONE dense vector
         over the global vertex index (bincount for sum, minimum.at for
@@ -179,7 +193,8 @@ class _Worker:
         raw Ray RPC floor (measured: the per-slice structure cost ~5x
         the RPC itself at W=30). Used when the signaling frontier is
         dense (edges_next ≥ num_vertices), where it strictly dominates
-        the sparse row exchange in both compute and volume."""
+        the sparse row exchange in both compute and volume. Gather
+        requests and replies ride beside the slices as sparse rows."""
         algo = self.algo
         field0 = algo.signal_fields[0][0]
         is_sum = algo.dense_agg == "sum"
@@ -192,22 +207,14 @@ class _Worker:
                 continue
             gidx, vals = edges[0], edges[1][field0]
             if total is None:
-                total = (
-                    np.zeros(self.V, dtype=np.float64)
-                    if is_sum
-                    else np.full(self.V, algo.dense_identity, dtype=algo.dense_dtype)
-                )
+                total = self._identity(self.V)
             if is_sum:
                 total += np.bincount(gidx, weights=vals, minlength=self.V)
-            elif algo.dense_agg == "max":
-                np.maximum.at(total, gidx, vals.astype(algo.dense_dtype))
             else:
-                np.minimum.at(total, gidx, vals.astype(algo.dense_dtype))
-        if total is None:
-            return {}
-        outbox: Dict[int, tuple] = {}
+                _UFUNC[algo.dense_agg].at(total, gidx, vals.astype(algo.dense_dtype))
+        outbox: Dict[int, dict] = {}
         ident = algo.dense_identity
-        for w in range(self.W):
+        for w in range(self.W if total is not None else 0):
             plist, pieces = [], []
             for p in range(w, self.P, self.W):  # p % W == w
                 lo = self.offsets[p]
@@ -217,23 +224,30 @@ class _Worker:
                     plist.append(p)
                     pieces.append(sl)
             if plist:
-                outbox[w] = (
+                outbox[w] = {partition.DENSE: (
                     np.asarray(plist, dtype=np.int32),
                     np.asarray([len(x) for x in pieces], dtype=np.int64),
                     np.concatenate(pieces),
-                )
+                )}
+        for w, entry in self.signal(fan=False).items():
+            outbox.setdefault(w, {}).update(entry)
         return outbox
 
-    def signal(self):
+    def signal(self, fan: bool = True):
         """Compute this worker's outgoing signals, pre-combined per
         destination partition, grouped per destination WORKER — ONE
         concatenated signal block per destination worker (not one per
         owned partition: fewer, larger arrays keep the exchange near the
         Ray RPC floor). The whole outbox is the task's return value;
         receivers slice only their pieces (numpy buffers ride pickle5
-        out-of-band in plasma)."""
+        out-of-band in plasma). The blocks also carry the gather
+        requests of this round's collect and the replies to the requests
+        it received (``Algorithm.pointer``). Every request rides the
+        outbox, also one to a partition of this worker, so each step's
+        state does not depend on W. ``fan`` False: gather traffic only."""
         return partition.outbox(
-            self.algo, self.csr, self.shards, self.part_fn, self.P, self.W
+            self.algo, self.csr, self.shards, self.part_fn, self.P, self.W,
+            before=self._before, asked=self._asked, fan=fan,
         )
 
     def outbox(self, mode: str):
@@ -241,15 +255,20 @@ class _Worker:
 
     def _dormant_skip(self, p: int, shard: dict, received) -> bool:
         """Under ``skip_dormant``: a partition with no scheduled vertex
-        that received nothing keeps its state, so collect leaves it
-        alone and the durable checkpoint links its shard."""
-        if p in received or partition.scheduled(self.algo, shard).any():
+        that received nothing (no signal, no gather request) keeps its
+        state, so collect leaves it alone and the durable checkpoint
+        links its shard."""
+        if (
+            p in received or p in self._asked
+            or partition.scheduled(self.algo, shard).any()
+        ):
             return False
         self._dormant.add(p)
         return True
 
     def _collected(self, p: int, prev: dict, st: dict) -> None:
         self.shards[p] = {**prev, **st}
+        self._before[p] = prev["state"]
         if self.algo.emits_mutations:
             em = self.algo.emit_edges(prev, st)
             if em is not None and len(em["src"]):
@@ -258,16 +277,19 @@ class _Worker:
     def collect_dense(self, entries: list, skip_dormant: bool = False):
         """Dense collect: elementwise sum/min of the received dense
         per-partition slices, then the algorithm's vectorized dense
-        collect. Zero sorting, zero searching. ``entries`` are this
-        worker's OWN inbox entries, one per sender (None = nothing)."""
+        collect. Zero sorting, zero searching (but for the gather
+        replies, sparse rows scattered into the vector). ``entries`` are
+        this worker's OWN inbox entries, one per sender (None =
+        nothing)."""
         algo = self.algo
-        is_sum = algo.dense_agg == "sum"
+        ufunc = _UFUNC[algo.dense_agg]
         acc: Dict[int, np.ndarray] = {}
         rows_in: Dict[int, int] = {}
+        entries = [e for e in entries if e]
         for entry in entries:
-            if entry is None:
+            if partition.DENSE not in entry:
                 continue
-            plist, lens, data = entry
+            plist, lens, data = entry[partition.DENSE]
             # split the sender's contiguous block back into per-partition
             # views (zero-copy)
             splits = np.split(data, np.cumsum(lens)[:-1])
@@ -277,25 +299,29 @@ class _Worker:
                 cur = acc.get(p)
                 if cur is None:
                     acc[p] = arr.copy()
-                elif is_sum:
-                    np.add(cur, arr, out=cur)
-                elif algo.dense_agg == "max":
-                    np.maximum(cur, arr, out=cur)
                 else:
-                    np.minimum(cur, arr, out=cur)
+                    ufunc(cur, arr, out=cur)
+        field0 = algo.signal_fields[0][0]
+        for p, sig in partition.by_partition(entries, self.P).items():
+            shard = self.shards.get(p)
+            if shard is None:
+                continue
+            rows_in[p] = rows_in.get(p, 0) + len(sig["dst"])
+            idx = Algorithm._align(shard["vid"], sig["dst"])
+            ok = idx >= 0
+            if p not in acc:
+                acc[p] = self._identity(len(shard["vid"]))
+            ufunc.at(acc[p], idx[ok], sig[field0][ok].astype(acc[p].dtype))
         self._rows_in, self._undeliverable = rows_in, {}
         self._dormant, self._emitted = set(), {}
+        self._before = {}
+        self._asked = partition.requests_by_partition(entries, self.P)
         for p, shard in self.shards.items():
             if skip_dormant and self._dormant_skip(p, shard, acc):
                 continue
             inc = acc.get(p)
             if inc is None:
-                n = len(shard["vid"])
-                inc = (
-                    np.zeros(n)
-                    if is_sum
-                    else np.full(n, algo.dense_identity, dtype=algo.dense_dtype)
-                )
+                inc = self._identity(len(shard["vid"]))
             prev = partition.reset_after_signal(algo, shard)
             self._collected(p, prev, algo.collect_dense(prev, inc, self.threshold))
         return self._metrics()
@@ -306,10 +332,13 @@ class _Worker:
         ``entries`` are this worker's own inbox entries, one per sender
         (a concatenated signal block, or None)."""
         algo = self.algo
-        per_part = partition.by_partition((e for e in entries if e), self.P)
+        entries = [e for e in entries if e]
+        per_part = partition.by_partition(entries, self.P)
         none = partition.empty_signals(algo)
         self._rows_in, self._undeliverable = {}, {}
         self._dormant, self._emitted = set(), {}
+        self._before = {}
+        self._asked = partition.requests_by_partition(entries, self.P)
         for p in self.parts:
             shard, sig = self.shards.get(p), per_part.get(p)
             if sig is None and (
@@ -355,6 +384,10 @@ class _Worker:
         t1 = time.perf_counter()
         outbox = self.outbox(mode_signal) if mode_signal else {}
         t2 = time.perf_counter()
+        if not mode_signal:
+            # no signal half: the gather requests go unanswered
+            for r in rows:
+                r["gather_rows_in"] = 0
         # Timeable rebuild (Timeable.scala:7-66) at partition granularity:
         # the vectorized engine processes a partition's vertices in one
         # fused kernel, so per-vertex timers are meaningless — worker
@@ -399,10 +432,12 @@ class _Worker:
                            edges_traversed=0, gpartial="")
             else:
                 continue
+            asked = self._asked.get(p)
             rows.append(dict(
                 row,
                 signal_rows_in=self._rows_in.get(p, 0),
                 undeliverable=self._undeliverable.get(p, 0),
+                gather_rows_in=0 if asked is None else len(asked["dst"]),
             ))
         return rows
 
@@ -642,7 +677,7 @@ class ResidentEngine:
         pending_mode = None
         if not converged:
             pending_mode = rounds.mode(last)
-            sig_refs, _, states = rounds.submit(None, states, None, (None, pending_mode))
+            sig_refs, _, _ = rounds.submit(None, states, None, (None, pending_mode))
         # Sync batching: rounds are SUBMITTED without fetching metrics —
         # round r+1 takes round r's outbox and state refs, so Ray chains
         # the supersteps task-to-task and the driver pays ONE metrics
@@ -902,7 +937,7 @@ class InteractiveComputation:
                 # first step after setup/resume: issue the initial signal
                 # phase (one extra barrier, once)
                 self._pending_mode = rounds.mode(ns.last)
-                self._sig_refs, _, ns.states = rounds.submit(
+                self._sig_refs, _, _ = rounds.submit(
                     None, ns.states, None, (None, self._pending_mode)
                 )
             ns.k += 1

@@ -442,7 +442,8 @@ def pair_cc_labels(pairs_mat, workdir: str):
     ConnectedComponents over the symmetrized pair graph. CC parallelism
     scales with the pair count (``_pair_graph_parallelism``); the
     superstep cap is a generous runaway guard (the engine stops at
-    quiescence after ~diameter rounds). Shared by the dedup closures
+    quiescence after O(log diameter) rounds, CC's shortcut). Shared by
+    the dedup closures
     and entity resolution."""
     from signal_collect_ray import EngineConfig, Graph
     from signal_collect_ray.algorithms import ConnectedComponents

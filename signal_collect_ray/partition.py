@@ -13,6 +13,15 @@ A partition is a *shard*: a dict of row-aligned numpy columns sorted by
 checkpoint shard on disk. A *signal block* is a dict with a ``dst``
 column, optionally a ``part`` column (destination partition), and one
 column per ``Algorithm.signal_fields`` entry.
+
+An *outbox entry* (what one worker sends another in a round) is a
+signal block that may also carry, under ``DENSE``, a dense round's
+per-partition slices ``(part ids, lengths, concatenated values)``, and,
+under ``GATHER``, a block of pointer-jumping *gather requests*
+(``Algorithm.pointer``): rows ``part``/``dst`` (the target vertex and
+its partition) and ``src`` (the requester). The target's owner answers
+each request in its next signal half as an ordinary signal row to the
+requester (:func:`replies`), sparse in a dense round too.
 """
 
 from __future__ import annotations
@@ -32,6 +41,9 @@ VERTEX_COLS = ("vid", "out_degree", "sum_out_weight")
 SHARD_COLS = VERTEX_COLS + ("state", "last", "active", "residual")
 #: the only columns ``Algorithm.src_values`` reads
 _SENDER_COLS = VERTEX_COLS + ("state", "last")
+#: outbox-entry keys of the gather-request block and the dense slices
+GATHER = "gather"
+DENSE = "dense"
 
 
 # -- shards ----------------------------------------------------------------
@@ -194,15 +206,53 @@ def fan_out(
 
 def signal(
     algo: Algorithm, csr: Optional[dict], shard: StateDict,
-    mask: Optional[np.ndarray] = None,
+    mask: Optional[np.ndarray] = None, extra=None,
 ):
     """The partition's outgoing signals pre-combined per destination
     (the combiner that bounds a hub's incoming rows):
-    ``(dst_unique, combined)`` or None."""
+    ``(dst_unique, combined)`` or None. ``extra`` is more ``(dst,
+    values)`` rows to combine with the fan-out (gather replies)."""
     edges = fan_out(algo, csr, shard, mask)
+    if extra is not None:
+        edges = extra if edges is None else (
+            np.concatenate([edges[0], extra[0]]),
+            {k: np.concatenate([v, extra[1][k]]) for k, v in edges[1].items()},
+        )
     if edges is None:
         return None
     return algo.combine(*edges)
+
+
+def requests(algo: Algorithm, shard: StateDict, before: Optional[np.ndarray]):
+    """The partition's gather requests after a collect that started from
+    state ``before``: ``(target, requester)`` — the pointer and the vid
+    of each vertex whose state changed and whose pointer is not its own
+    id — or None (no collect, no change, or ``pointer`` is None)."""
+    if before is None:
+        return None
+    ptr = algo.pointer(shard)
+    if ptr is None:
+        return None
+    ask = (shard["state"] != before) & (ptr != shard["vid"])
+    if not ask.any():
+        return None
+    return ptr[ask], shard["vid"][ask]
+
+
+def replies(algo: Algorithm, shard: StateDict, asked: Optional[dict]):
+    """Answers to the gather requests addressed to a partition: one
+    ``(dst=requester, values)`` row per request whose target is a vertex
+    here, its values the target's ``src_values`` → ``edge_values`` along
+    a virtual edge of weight 1; or None. A request to a missing target
+    is dropped silently: requests never reach ``on_undeliverable``."""
+    if asked is None:
+        return None
+    found, pos = isin_sorted(shard["vid"], asked["dst"])
+    if not found.any():
+        return None
+    pos = pos[found]
+    src_vals = algo.src_values({k: shard[k][pos] for k in _SENDER_COLS})
+    return asked["src"][found], algo.edge_values(src_vals, np.ones(len(pos)))
 
 
 def split(keys: np.ndarray, n: int, cols: Dict[str, np.ndarray]) -> Dict[int, dict]:
@@ -224,37 +274,70 @@ def concat(blocks: List[dict]) -> dict:
     return {k: np.concatenate([b[k] for b in blocks]) for k in blocks[0]}
 
 
+def _route(acc: Dict[int, list], parts: np.ndarray, num_workers: int, cols: dict) -> None:
+    """Append row-aligned columns, split by the worker that owns each
+    row's partition (``p % num_workers``), to ``acc[worker]``."""
+    for w, blk in split(parts % num_workers, num_workers, {"part": parts, **cols}).items():
+        acc.setdefault(w, []).append(blk)
+
+
 def outbox(
     algo: Algorithm, csr: Dict[int, dict], shards: Dict[int, StateDict],
     part_fn, num_partitions: int, num_workers: int,
+    before: Optional[Dict[int, np.ndarray]] = None,
+    asked: Optional[Dict[int, dict]] = None,
+    fan: bool = True,
 ) -> Dict[int, dict]:
     """One worker's sparse signal phase: every owned partition's combined
     signals routed to the worker owning the destination partition
     (``p % num_workers``) — ONE concatenated signal block per destination
-    worker, carrying its ``part`` column so receivers never rehash."""
+    worker, carrying its ``part`` column so receivers never rehash.
+
+    With ``before`` (each collected partition's state before this
+    round's collect) an entry also carries the :func:`requests` routed
+    to the target's owner under ``GATHER``; with ``asked`` (the request
+    rows this worker received, per partition) the :func:`replies` join
+    the partition's signals before the combine. ``fan`` False leaves the
+    edge fan-out out (a dense round ships it as dense slices)."""
     acc: Dict[int, list] = {}
+    gather: Dict[int, list] = {}
     for p in sorted(shards):  # block order fixes the receivers' fold order
-        sig = signal(algo, csr.get(p), shards[p])
-        if sig is None:
-            continue
-        dst, vals = sig
-        dparts = part_fn(dst, num_partitions)
-        for w, blk in split(
-            dparts % num_workers, num_workers, {"part": dparts, "dst": dst, **vals}
-        ).items():
-            acc.setdefault(w, []).append(blk)
-    return {w: concat(blocks) for w, blocks in acc.items()}
+        shard = shards[p]
+        extra = replies(algo, shard, asked.get(p)) if asked else None
+        sig = signal(algo, csr.get(p) if fan else None, shard, extra=extra)
+        if sig is not None:
+            dst, vals = sig
+            _route(acc, part_fn(dst, num_partitions), num_workers, {"dst": dst, **vals})
+        req = requests(algo, shard, before.get(p)) if before else None
+        if req is not None:
+            target, requester = req
+            _route(gather, part_fn(target, num_partitions), num_workers,
+                   {"dst": target, "src": requester})
+    out = {w: concat(blocks) for w, blocks in acc.items()}
+    for w, blocks in gather.items():
+        out.setdefault(w, {})[GATHER] = concat(blocks)
+    return out
 
 
 # -- collect ---------------------------------------------------------------
 def by_partition(blocks: Iterable[dict], num_partitions: int) -> Dict[int, dict]:
     """Received signal blocks regrouped per destination partition,
-    concatenated in arrival order."""
+    concatenated in arrival order (gather requests and dense slices
+    left out)."""
     acc: Dict[int, list] = {}
     for blk in blocks:
+        if GATHER in blk or DENSE in blk:
+            blk = {k: v for k, v in blk.items() if k not in (GATHER, DENSE)}
+        if not blk:
+            continue
         for p, piece in split(blk["part"], num_partitions, blk).items():
             acc.setdefault(p, []).append(piece)
     return {p: concat(pieces) for p, pieces in acc.items()}
+
+
+def requests_by_partition(blocks: Iterable[dict], num_partitions: int) -> Dict[int, dict]:
+    """Received gather requests regrouped per target partition."""
+    return by_partition((b[GATHER] for b in blocks if GATHER in b), num_partitions)
 
 
 def empty_signals(algo: Algorithm) -> dict:

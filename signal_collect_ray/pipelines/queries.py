@@ -1330,12 +1330,14 @@ def q_cc_labels(sf_dir: str):
     key = (sf_dir, "cc_labels")
     out = _RESULT_CACHE.get(key)
     if out is None:
-        # Pinned to the oracle's round count (like sssp_weighted_from0):
-        # min-label propagation is monotone, so stopping early at the
-        # fixpoint equals the oracle's round-_CC_K state, and if some
-        # scale factor ever needed >_CC_K rounds both sides would agree
-        # on the same partially-converged labels instead of silently
-        # diverging.
+        # Capped at the oracle's round count, but only as a runaway
+        # guard: the SQL oracle unrolls _CC_K rounds of plain min-label
+        # propagation, while CC's shortcut (label[label]) runs ahead of
+        # it, so the two agree only where both reach the fixpoint. Every
+        # _CC_K CC run converges in 3 supersteps on sf0.01 and sf0.1; a
+        # scale factor whose graph needed more rounds than the oracle
+        # unrolls would fail the oracle check (and show
+        # converged=False) rather than agree on partial labels.
         t = _state(sf_dir, ConnectedComponents(), True, _CC_K)
         out = pa.table({"vid": t.column("vid"), "label": t.column("state")})
         _RESULT_CACHE[key] = out

@@ -9,13 +9,14 @@ import os
 import numpy as np
 
 from signal_collect_ray import EngineConfig, Graph, SuperstepEngine
-from signal_collect_ray.algorithms import ConnectedComponents
+from signal_collect_ray.algorithms import SSSP, ConnectedComponents
 from signal_collect_ray.util import part_of
 
 
 def test_quiet_partition_shard_is_hard_linked(tmp_path):
-    # a triangle that lives in partition 0 settles in two supersteps; a
-    # 30-vertex path in partition 1 keeps CC running for ~30
+    # a triangle that lives in partition 0 is never reached; SSSP from
+    # the head of a 30-vertex path in partition 1 runs for ~30 supersteps
+    # (CC's shortcut would settle the path in ~8)
     ids = np.arange(1000, dtype=np.int64)
     home = part_of(ids, 2)
     tri, path = ids[home == 0][:3], ids[home == 1][:30]
@@ -26,7 +27,7 @@ def test_quiet_partition_shard_is_hard_linked(tmp_path):
     )
     rdir = str(tmp_path / "r")
     info = SuperstepEngine(EngineConfig(num_partitions=2, max_supersteps=100)).run(
-        g, ConnectedComponents(), run_dir=rdir, resume=False
+        g, SSSP(int(path[0])), run_dir=rdir, resume=False
     )
     assert info.converged and info.supersteps > 20
 

@@ -229,3 +229,67 @@ def test_outbox_routes_to_owner_workers(block):
     for p, sig in per_part.items():
         assert (part_of(sig["dst"], P) == p).all()
     assert sum(len(s["dst"]) for s in per_part.values()) == len(dst_u)
+
+
+def test_gather_requests_route_to_the_target_owner():
+    algo = ConnectedComponents()
+    vid = np.arange(10, 20, dtype=np.int64)
+    shard = _shard(algo, vid, _csr([], []))
+    before = shard["state"].copy()
+    # 12 and 15 changed to labels naming other vertices; 18's label is
+    # not its own id either, but it did not change: only 12 and 15 ask
+    state = before.copy()
+    state[[2, 5, 8]] = [3, 11, 4]
+    shard = dict(shard, state=state)
+    before[8] = 4
+    target, requester = partition.requests(algo, shard, before)
+    assert target.tolist() == [3, 11] and requester.tolist() == [12, 15]
+    assert partition.requests(algo, shard, None) is None
+    assert partition.requests(algo, shard, state) is None  # nothing changed
+
+    P, W = 4, 2
+    out = partition.outbox(algo, {}, {0: shard}, part_of, P, W, before={0: before})
+    got = []
+    for w, entry in out.items():
+        assert set(entry) == {partition.GATHER}  # no signal rows: no senders
+        req = entry[partition.GATHER]
+        assert (req["part"] == part_of(req["dst"], P)).all()
+        assert (req["part"] % W == w).all()
+        got += list(zip(req["dst"].tolist(), req["src"].tolist()))
+    assert sorted(got) == [(3, 12), (11, 15)]
+    assert partition.by_partition(out.values(), P) == {}
+    asked = partition.requests_by_partition(out.values(), P)
+    want = {}
+    for t in (3, 11):
+        want.setdefault(int(part_of(np.array([t]), P)[0]), []).append(t)
+    assert {p: b["dst"].tolist() for p, b in asked.items()} == want
+
+
+def test_gather_replies_become_signal_rows():
+    algo = ConnectedComponents()
+    vid = np.array([3, 5, 11], dtype=np.int64)
+    csr = _csr([5], [40])
+    shard = dict(_shard(algo, vid, csr), state=np.array([1, 2, 4], np.int64))
+    # 99 is no vertex here: its request is dropped, not undeliverable
+    asked = {"dst": np.array([11, 99, 3, 11]), "src": np.array([20, 21, 40, 22])}
+    dst, vals = partition.replies(algo, shard, asked)
+    assert dst.tolist() == [20, 40, 22] and vals["val"].tolist() == [4, 1, 4]
+    assert partition.replies(algo, shard, None) is None
+    # the replies combine with the partition's fan-out: vertex 5 sends 2
+    # to 40, the reply to 40 carries 1
+    out = partition.outbox(algo, {0: csr}, {0: shard}, part_of, 3, 1, asked={0: asked})
+    sig = partition.by_partition(out.values(), 3)
+    rows = sorted(
+        (d, v) for s in sig.values() for d, v in zip(s["dst"].tolist(), s["val"].tolist())
+    )
+    assert rows == [(20, 4), (22, 4), (40, 1)]
+
+
+def test_no_pointer_no_gather():
+    from signal_collect_ray.algorithms.scc import _BackMark
+
+    algo = _BackMark(np.array([3], dtype=np.int64))
+    shard = _shard(algo, np.array([3, 4], dtype=np.int64), _csr([], []))
+    before = np.array([1, 0], dtype=np.int64)
+    assert partition.requests(algo, shard, before) is None
+    assert partition.requests(PageRank(), _shard(PageRank(), [3], _csr([], [])), np.zeros(1)) is None
