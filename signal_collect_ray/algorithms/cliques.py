@@ -14,8 +14,8 @@ contract): both kernels broadcast the oriented adjacency as a V×V/64
 bitset matrix (`ray.put` once, built once per actor), so they require
 V ≤ BITSET_VERTEX_LIMIT (2^16 → 512 MB worst case; the derived query
 graphs are ≤ 500). Beyond that, the scale path is the triangle
-pipeline's co-partitioned wedge exchange with sorted-adjacency
-intersections — raise the limit consciously, don't silently spill.
+pipeline's co-partitioned wedge exchange with exact rank-key
+membership — raise the limit consciously, don't silently spill.
 """
 
 from __future__ import annotations
@@ -91,8 +91,7 @@ def four_clique_count(edges_ds, num_partitions: int = 32) -> int:
     """Exact number of 4-cliques in the undirected simple graph."""
     import ray
 
-    oriented, degs = _oriented_edges(edges_ds, num_partitions)
-    n = 0
+    oriented, _ = _oriented_edges(edges_ds, num_partitions)
     src_parts, dst_parts = [], []
     for b in oriented.iter_batches(batch_format="pyarrow", batch_size=None):
         src_parts.append(b.column("src").to_numpy(zero_copy_only=False))
@@ -152,8 +151,7 @@ def local_bridges(edges_ds, num_partitions: int = 32):
     rows."""
     import ray
 
-    uniq = _unique_undirected(edges_ds).select_columns(["a", "b"]) \
-        .materialize()
+    uniq = _unique_undirected(edges_ds, num_partitions).materialize()
     a_parts, b_parts = [], []
     for t in uniq.iter_batches(batch_format="pyarrow", batch_size=None):
         a_parts.append(t.column("a").to_numpy(zero_copy_only=False))

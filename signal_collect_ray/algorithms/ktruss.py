@@ -3,13 +3,14 @@
 than k−2 triangles; the fixpoint is the k-truss, the standard
 community-core / spam-farm filter one level finer than k-core.
 
-Each peel round reuses the triangle pipeline's oriented wedge-closing
-exchange (``triangles._closed_wedges``) with a per-EDGE aggregation
-instead of per-vertex: every closed wedge (u,v,w) contributes one unit
-of support to its three edges, keyed by the canonical packed pair id.
-Support counts pre-combine per partition before a hash-partitioned
-exact sum (``_sum_by_key``), so the exchange carries one row per
-surviving edge, never per triangle. Peeling is MONOTONE (removing
+Each peel round runs the triangle pipeline's oriented-adjacency
+builder and two-exchange wedge closure (``triangles._adjacency`` /
+``_triangle_partials``) with a per-EDGE reduce instead of per-vertex:
+every closed wedge (u,v,w) contributes one unit of support to its three
+edges, keyed by the canonical packed pair id. Support counts
+pre-combine per ipart group before a hash-partitioned exact sum
+(``_sum_by_key``), so that exchange carries one row per surviving edge
+and group, never per triangle. Peeling is MONOTONE (removing
 edges only lowers support), so running R rounds of the engine equals an
 R-round unrolled SQL oracle even when the fixpoint lands early.
 
@@ -23,13 +24,13 @@ import numpy as np
 import pyarrow as pa
 
 from signal_collect_ray.algorithms.triangles import (
-    _closed_wedges,
+    _adjacency,
     _np,
-    _oriented_edges,
-    _OrientAndShip,
     _sum_by_key,
+    _triangle_partials,
     _unique_undirected,
 )
+from signal_collect_ray.util import segment_sum
 
 _ID_BITS = 32
 
@@ -41,38 +42,19 @@ def _pack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (lo.astype(np.int64) << _ID_BITS) | hi.astype(np.int64)
 
 
-class _EdgeSupport:
-    """groupby(ipart) stage: closed wedges → per-edge partial support."""
-
-    __name__ = "_EdgeSupport"
-
-    def __call__(self, tbl: pa.Table) -> pa.Table:
-        from signal_collect_ray.util import segment_sum
-
-        empty = pa.table(
-            {"key": pa.array([], pa.int64()), "supp": pa.array([], pa.int64())}
-        )
-        wedges = _closed_wedges(tbl)
-        if wedges is None:
-            return empty
-        wu, wv, ww = wedges
-        keys = np.concatenate([_pack(wu, wv), _pack(wu, ww), _pack(wv, ww)])
-        k, c = segment_sum(keys, np.ones(len(keys), dtype=np.int64))
-        return pa.table(
-            {"key": pa.array(k, pa.int64()), "supp": pa.array(c, pa.int64())}
-        )
+def _support_rows(u, v, w) -> pa.Table:
+    """Closed wedges of one ipart group → per-edge partial support."""
+    keys = np.concatenate([_pack(u, v), _pack(u, w), _pack(v, w)])
+    k, c = segment_sum(keys, np.ones(len(keys), dtype=np.int64))
+    return pa.table({"key": pa.array(k, pa.int64()), "supp": pa.array(c, pa.int64())})
 
 
 def edge_support(edges_ds, num_partitions: int = 64):
     """Per-edge triangle support over the undirected graph: Dataset
     (key: packed canonical pair, supp: int64). Edges on no triangle are
     absent (support 0)."""
-    oriented, _ = _oriented_edges(edges_ds, num_partitions)
-    shipped = oriented.groupby("spart").map_groups(
-        _OrientAndShip(num_partitions), batch_format="pyarrow"
-    )
-    partials = shipped.groupby("ipart").map_groups(
-        _EdgeSupport(), batch_format="pyarrow"
+    partials = _triangle_partials(
+        _adjacency(edges_ds, num_partitions), num_partitions, _support_rows
     )
     return _sum_by_key(partials, "key", "supp", num_partitions)
 
@@ -87,9 +69,7 @@ def ktruss(edges_ds, k: int, num_partitions: int = 64, max_rounds: int = 30):
     if k < 2:
         raise ValueError("k must be ≥ 2")
     thresh = k - 2
-    cur = (
-        _unique_undirected(edges_ds).select_columns(["a", "b"]).materialize()
-    )
+    cur = _unique_undirected(edges_ds, num_partitions).materialize()
     n = cur.count()
     if thresh <= 0:
         # 2-truss = every edge; the support pass would drop

@@ -10,12 +10,13 @@ diagonal of C(c,2) distinct 4-cycles, so
 
     #C4 = 1/2 · Σ_{u<w} C(codeg(u, w), 2).
 
-Pipeline (two exchanges, same shape as cocitation):
-1. symmetrize the unique undirected edge set and co-partition by the
-   wedge CENTER (``spart`` groupby) — each center's full neighbourhood
-   is local, so the neighbour-pair emission kernel
-   (``cocitation._pairs_from_partition``) is exact and vectorized
-   (one ``np.triu_indices`` gather per distinct segment length);
+Pipeline (two exchanges):
+1. the triangle pipeline's exchange A (``triangles._adjacency``) gives
+   one row per wedge CENTER holding its whole sorted neighbourhood, so
+   the neighbour-pair emission kernel
+   (``cocitation._pairs_from_partition``) runs as a plain map over those
+   rows, exact and vectorized (one ``np.triu_indices`` gather per
+   distinct segment length);
 2. route each unordered pair to one partition by its pair hash and
    reduce: per-partition ``np.unique`` counts give codeg, Σ C(c,2)
    folds to ONE int64 per partition — the driver sums W partials.
@@ -31,8 +32,7 @@ import numpy as np
 import pyarrow as pa
 
 from signal_collect_ray.algorithms.cocitation import _pairs_from_partition
-from signal_collect_ray.algorithms.triangles import _np, _unique_undirected
-from signal_collect_ray.util import part_of
+from signal_collect_ray.algorithms.triangles import _adjacency, _flat, _np
 
 
 def rectangle_count(
@@ -41,27 +41,16 @@ def rectangle_count(
     """Exact number of 4-cycles in the undirected simple graph of
     ``edges_ds`` (src, dst; direction and duplicates ignored,
     self-loops dropped)."""
-    und = _unique_undirected(edges_ds)
+    emit = _pairs_from_partition(max_degree, num_partitions)
 
-    def sym(tbl: pa.Table) -> pa.Table:
-        a, b = _np(tbl, "a"), _np(tbl, "b")
-        v = np.concatenate([a, b])
-        n = np.concatenate([b, a])
-        return pa.table(
-            {
-                "spart": pa.array(part_of(v, num_partitions), pa.int32()),
-                "src": pa.array(v, pa.int64()),
-                "dst": pa.array(n, pa.int64()),
-            }
-        )
+    def center_pairs(tbl: pa.Table) -> pa.Table:
+        # one call per block of whole rows: a center's neighbourhood is
+        # never split across calls
+        _, v, x = _flat(tbl)
+        return emit(pa.table({"src": v, "dst": x}))
 
-    pairs = (
-        und.map_batches(sym, batch_format="pyarrow")
-        .groupby("spart")
-        .map_groups(
-            _pairs_from_partition(max_degree, num_partitions),
-            batch_format="pyarrow",
-        )
+    pairs = _adjacency(edges_ds, num_partitions).map_batches(
+        center_pairs, batch_format="pyarrow"
     )
 
     def partial(tbl: pa.Table) -> pa.Table:

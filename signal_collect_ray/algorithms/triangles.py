@@ -1,79 +1,60 @@
-"""Triangle counting & clustering coefficient — join-based.
+"""Triangle counting & clustering coefficient — two exchanges.
 
 The reference computes the clustering coefficient by signaling whole
 neighbor sets along every edge and intersecting in collect
 (``/root/reference/src/main/scala/com/signalcollect/examples/
 ClusteringCoefficient.scala:24-47``) — O(Σ deg²) traffic, not
 combiner-friendly. Per SURVEY §7.4.3 we replace it with the standard
-distributed canonical-edge join:
+distributed degree-oriented wedge closure, built by ONE
+oriented-adjacency builder that every consumer here (and ktruss,
+cliques, rectangles) goes through:
 
-1. symmetrize + dedup to unique undirected edges (one groupby shuffle),
-2. compute undirected degrees (pre-combined per batch, tiny groupby),
-3. orient every edge from the lower-(degree, id) endpoint to the higher
-   — the classic O(E^1.5) bound on shipped adjacency,
-4. co-partition by hash(src): build each source's oriented adjacency
-   list locally and attach it to its out-edges (zero-copy Arrow list
-   columns),
-5. co-partition by hash(dst): intersect N⁺(src) with N⁺(dst) per edge;
-   every common w closes a triangle (src, dst, w), counted once,
-6. per-vertex counts via a final pre-combined groupby(vid).sum.
+A. exchange keyed by hash(v): each batch drops self-loops, emits
+   (v, x) and (x, v) and lexsort-dedups; ``groupby(part_of(v))``
+   dedups exactly and emits one row per vertex, (v, nbrs) with nbrs
+   the sorted unique neighbour list. Degree is the list length, exact,
+   so there is no degree exchange; a row is never split across blocks,
+   so every later map sees all of N(v).
+B. degree broadcast: a remote map yields (v, deg) and only those
+   columns reach the calling process; the vid-sorted table is ``ray.put``
+   once.
+C. orient-and-ship, one map: N⁺(v) = {x ∈ N(v) : (deg v, v) <
+   (deg x, x)} — the classic O(E^1.5) bound on shipped wedges. Emit
+   the owner row (v, N⁺(v)) and, for each x ∈ N⁺(v), an edge row
+   (x, v, the w ∈ N⁺(v) after x in that order) routed to part_of(x).
+   Ids are ranks in the broadcast sorted-vid array: exact and < V.
+D. exchange ``groupby(ipart)``: wedge (v, x, w) closes iff x→w is
+   oriented, and x's owner row is in this group; the exact key
+   rank_x·V + rank_w and one searchsorted decide it. Each triangle
+   closes exactly one wedge, so partial rows are the answer: the caller
+   sums P counts for ``total_triangles``.
+
+Above ``BROADCAST_DEGREE_LIMIT`` vertices, B is replaced by one
+degree-announce exchange: each vertex row sends (x, v, deg v) to
+part_of(x), whose group then knows deg x as its row count, orients
+N(x) and ships; D keys its wedges by ranks local to each group.
 
 Per-vertex counts equal the reference's Σ|N(v)∩N(u)|/2; the clustering
 coefficient is 2·tri(v)/(deg·(deg−1)) (ClusteringCoefficient.scala:31-38).
-
-All joins are explicit tagged-union co-partition joins (no broadcast of
-the vertex set), so the pipeline holds at web scale.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
-from signal_collect_ray.util import part_of, segment_starts, segment_sum
+from signal_collect_ray.util import (
+    expand_ranges,
+    isin_sorted,
+    part_of,
+    segment_starts,
+    segment_sum,
+)
 
 
 def _np(tbl: pa.Table, col: str) -> np.ndarray:
     return tbl.column(col).combine_chunks().to_numpy(zero_copy_only=False)
-
-
-def _unique_undirected(edges_ds):
-    """(src,dst[,weight]) → unique (a,b) with a<b, self-loops dropped."""
-
-    def canon(tbl: pa.Table) -> pa.Table:
-        s, d = _np(tbl, "src"), _np(tbl, "dst")
-        keep = s != d
-        s, d = s[keep], d[keep]
-        a, b = np.minimum(s, d), np.maximum(s, d)
-        # in-batch pre-dedup before the shuffle
-        key = np.stack([a, b], axis=1)
-        uniq = np.unique(key, axis=0)
-        return pa.table(
-            {"a": pa.array(uniq[:, 0], pa.int64()), "b": pa.array(uniq[:, 1], pa.int64())}
-        )
-
-    canoned = edges_ds.map_batches(canon, batch_format="pyarrow")
-
-    def dedup_group(tbl: pa.Table) -> pa.Table:
-        a, b = _np(tbl, "a"), _np(tbl, "b")
-        key = np.stack([a, b], axis=1)
-        uniq = np.unique(key, axis=0)
-        return pa.table(
-            {"a": pa.array(uniq[:, 0], pa.int64()), "b": pa.array(uniq[:, 1], pa.int64())}
-        )
-
-    # co-partition by hash(a) and dedup within partition — exact, since
-    # equal (a,b) pairs share the partition key a.
-    def add_part(tbl: pa.Table) -> pa.Table:
-        return tbl.append_column(
-            "gpart", pa.array(part_of(_np(tbl, "a"), 64), pa.int32())
-        )
-
-    return (
-        canoned.map_batches(add_part, batch_format="pyarrow")
-        .groupby("gpart")
-        .map_groups(dedup_group, batch_format="pyarrow")
-    )
 
 
 def _sum_by_key(ds, key_col, val_col, num_partitions=64):
@@ -102,26 +83,6 @@ def _sum_by_key(ds, key_col, val_col, num_partitions=64):
         ds.map_batches(partial, batch_format="pyarrow")
         .groupby("gpart")
         .map_groups(final, batch_format="pyarrow")
-    )
-
-
-def _degrees(unique_edges_ds, num_partitions=64):
-    """Undirected degree per vertex: (vid:int64, deg:int64)."""
-
-    def contribs(tbl: pa.Table) -> pa.Table:
-        a, b = _np(tbl, "a"), _np(tbl, "b")
-        vid, cnt = segment_sum(
-            np.concatenate([a, b]), np.ones(2 * len(a), dtype=np.int64)
-        )
-        return pa.table(
-            {"vid": pa.array(vid, pa.int64()), "deg": pa.array(cnt, pa.int64())}
-        )
-
-    return _sum_by_key(
-        unique_edges_ds.map_batches(contribs, batch_format="pyarrow"),
-        "vid",
-        "deg",
-        num_partitions,
     )
 
 
@@ -193,256 +154,319 @@ def _attach(left_ds, left_key, right_ds, right_key, attach_cols, num_partitions=
     )
 
 
-class _OrientAndShip:
-    """groupby(spart) stage: build each src's oriented adjacency locally,
-    emit (dpart, dst, src, nbrs_src) edge rows + (dpart, dst=-1, src,
-    nbrs) adjacency-owner rows for the intersect stage."""
+def _pair_sums(a: np.ndarray, b: np.ndarray, c: np.ndarray):
+    """Sum of c per distinct (a, b) pair: (a, b, sum), sorted by (a, b)."""
+    order = np.lexsort((b, a))
+    a, b, c = a[order], b[order], c[order]
+    first = np.ones(len(a), dtype=bool)
+    first[1:] = (a[1:] != a[:-1]) | (b[1:] != b[:-1])
+    starts = np.flatnonzero(first)
+    return a[starts], b[starts], np.add.reduceat(c, starts) if len(c) else c
 
-    __name__ = "_OrientAndShip"
 
-    def __init__(self, num_partitions: int):
-        self.P = num_partitions
+def _dedup_pairs(a: np.ndarray, b: np.ndarray):
+    """The distinct (a, b) pairs, sorted by (a, b)."""
+    a, b, _ = _pair_sums(a, b, np.zeros(len(a), np.int8))
+    return a, b
 
-    def __call__(self, tbl: pa.Table) -> pa.Table:
+
+def _list_column(counts: np.ndarray, values: np.ndarray) -> pa.ListArray:
+    """list<int64> whose row i holds the next counts[i] of ``values``."""
+    off = np.zeros(len(counts) + 1, dtype=np.int32)
+    np.cumsum(counts, out=off[1:])
+    return pa.ListArray.from_arrays(pa.array(off), pa.array(values, pa.int64()))
+
+
+def _flat(tbl: pa.Table, key: str = "v"):
+    """(row, key, value) arrays of a table's ``nbrs`` list column, one
+    entry per list element: row i of the table owns entries with row == i."""
+    nbrs = tbl.column("nbrs")
+    lens = pc.list_value_length(nbrs).to_numpy(zero_copy_only=False)
+    vals = pc.list_flatten(nbrs).to_numpy(zero_copy_only=False)
+    row = np.repeat(np.arange(len(tbl)), lens)
+    return row, _np(tbl, key)[row], vals
+
+
+def _adjacency(edges_ds, num_partitions: int = 64):
+    """Exchange A: (src, dst) edges → one materialised row per vertex
+    (v:int64, nbrs:list<int64>) of the undirected simple graph; nbrs is
+    sorted and unique, self-loops are dropped, and a vertex with only
+    self-loops has no row."""
+    P = num_partitions
+
+    def emit(tbl: pa.Table) -> pa.Table:
         s, d = _np(tbl, "src"), _np(tbl, "dst")
-        order = np.lexsort((d, s))
-        s, d = s[order], d[order]
-        starts = segment_starts(s)
-        offsets = np.append(starts, len(s)).astype(np.int32)
-        src_ids = s[starts]
-        adj = pa.ListArray.from_arrays(pa.array(offsets), pa.array(d, pa.int64()))
-        # one row per edge: ship N+(src) to dst's partition
-        edge_rows = pa.table(
+        keep = s != d
+        s, d = s[keep], d[keep]
+        v, x = _dedup_pairs(np.concatenate([s, d]), np.concatenate([d, s]))
+        return pa.table(
             {
-                "ipart": pa.array(part_of(d, self.P), pa.int32()),
-                "key": pa.array(d, pa.int64()),
-                "other": pa.array(s, pa.int64()),
-                "nbrs": adj.take(
-                    pa.array(
-                        np.repeat(
-                            np.arange(len(src_ids)), np.diff(offsets.astype(np.int64))
-                        ),
-                        pa.int64(),
-                    )
-                ),
+                "gpart": pa.array(part_of(v, P), pa.int32()),
+                "v": pa.array(v, pa.int64()),
+                "x": pa.array(x, pa.int64()),
             }
         )
-        owner_rows = pa.table(
+
+    def rows(tbl: pa.Table) -> pa.Table:
+        v, x = _dedup_pairs(_np(tbl, "v"), _np(tbl, "x"))
+        starts = segment_starts(v)
+        return pa.table(
             {
-                "ipart": pa.array(part_of(src_ids, self.P), pa.int32()),
-                "key": pa.array(src_ids, pa.int64()),
-                "other": pa.array(
-                    np.full(len(src_ids), -1, dtype=np.int64), pa.int64()
-                ),
-                "nbrs": adj,
+                "v": pa.array(v[starts], pa.int64()),
+                "nbrs": _list_column(np.diff(np.append(starts, len(v))), x),
             }
         )
-        return pa.concat_tables([edge_rows, owner_rows])
+
+    return (
+        edges_ds.map_batches(emit, batch_format="pyarrow")
+        .groupby("gpart")
+        .map_groups(rows, batch_format="pyarrow")
+        .materialize()
+    )
 
 
-class _Intersect:
-    """groupby(ipart) stage: close wedges against the partition's local
-    edge set — fully vectorized.
+def _unique_undirected(edges_ds, num_partitions: int = 64):
+    """(src,dst[,weight]) → unique (a,b) with a<b, self-loops dropped:
+    the exchange-A entries x ∈ N(v) with v < x."""
 
-    The shipped edge rows ARE the wedge set: row (u→v, N+(u)) flattens
-    to wedges (u, v, w) for w ∈ N+(u); wedge (u,v,w) closes a triangle
-    iff (v,w) is an oriented edge, and all (v,*) edges live in THIS
-    partition (routed by hash(v)). Membership = 64-bit pair-hash
-    pre-filter (vectorized searchsorted) + EXACT per-candidate verify
-    (binary search in N+(v)) — hash collisions only cost verify time,
-    never correctness."""
+    def lower(tbl: pa.Table) -> pa.Table:
+        _, v, x = _flat(tbl)
+        keep = v < x
+        return pa.table(
+            {"a": pa.array(v[keep], pa.int64()), "b": pa.array(x[keep], pa.int64())}
+        )
 
-    __name__ = "_Intersect"
+    return _adjacency(edges_ds, num_partitions).map_batches(
+        lower, batch_format="pyarrow"
+    )
+
+
+def _degree_rows(tbl: pa.Table) -> pa.Table:
+    return pa.table(
+        {
+            "vid": tbl.column("v"),
+            "deg": pc.list_value_length(tbl.column("nbrs")).cast(pa.int64()),
+        }
+    )
+
+
+def _broadcast_degrees(adj):
+    """Step B: ``ray.put`` of the vid-sorted (vid, deg) arrays. Only
+    (v, deg) leaves the workers; the adjacency lists never do."""
+    import ray
+
+    degs = adj.map_batches(_degree_rows, batch_format="pyarrow")
+    dt = pa.concat_tables(
+        list(degs.iter_batches(batch_format="pyarrow", batch_size=None))
+    ).sort_by("vid")
+    return ray.put({"vid": _np(dt, "vid"), "deg": _np(dt, "deg")})
+
+
+def _forward(deg_v, v, deg_x, x):
+    """x ∈ N⁺(v): the edge points from the lower (degree, id) end."""
+    return (deg_v < deg_x) | ((deg_v == deg_x) & (v < x))
+
+
+def _orient(tbl: pa.Table, vids: np.ndarray, deg: np.ndarray):
+    """N⁺ of a block of exchange-A rows in rank space: (rank_v per row,
+    |N⁺| per row, rank_x of the kept entries in row order, their degrees)."""
+    row, _, x = _flat(tbl)
+    rv = np.searchsorted(vids, _np(tbl, "v"))
+    rx = np.searchsorted(vids, x)
+    keep = _forward(deg[rv][row], rv[row], deg[rx], rx)
+    rx = rx[keep]
+    return rv, np.bincount(row[keep], minlength=len(rv)), rx, deg[rx]
+
+
+def _ship(v: np.ndarray, counts: np.ndarray, w: np.ndarray, wdeg, P: int):
+    """Step C's rows from a CSR oriented adjacency (vertex v[i] owns the
+    next counts[i] entries of w, whose degrees are wdeg).
+
+    Owner row (key=v, other=v, N⁺(v)) to part_of(v); for each x ∈ N⁺(v)
+    an edge row (key=x, other=v, the w ∈ N⁺(v) after x in (deg, id)
+    order) to part_of(x). A w before x cannot close: x→w needs
+    (deg x, x) < (deg w, w). Edge rows with nothing after x are not sent.
+    """
+    seg = np.repeat(np.arange(len(v)), counts)
+    order = np.lexsort((w, wdeg, seg))
+    w = w[order]
+    end = np.repeat(np.cumsum(counts), counts)
+    nxt = np.arange(len(w)) + 1
+    tail = end - nxt
+    send = np.flatnonzero(tail > 0)
+    own = np.flatnonzero(counts > 0)
+    key = np.concatenate([v[own], w[send]])
+    return pa.table(
+        {
+            "ipart": pa.array(part_of(key, P), pa.int32()),
+            "key": pa.array(key, pa.int64()),
+            "other": pa.array(np.concatenate([v[own], v[seg[send]]]), pa.int64()),
+            "nbrs": _list_column(
+                np.concatenate([counts[own], tail[send]]),
+                np.concatenate([w, w[expand_ranges(nxt[send], tail[send])]]),
+            ),
+        }
+    )
+
+
+class _OrientShip:
+    """Step C on the broadcast degrees: exchange-A rows → rank-space
+    owner and edge rows."""
+
+    __name__ = "_OrientShip"
+
+    def __init__(self, deg_ref, P: int):
+        self.deg_ref, self.P = deg_ref, P
 
     def __call__(self, tbl: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {"vid": pa.array([], pa.int64()), "triangles": pa.array([], pa.int64())}
-        )
-        wedges = _closed_wedges(tbl)
-        if wedges is None:
-            return empty
-        wu, wv, ww = wedges
-        contrib_vid = np.concatenate([wu, wv, ww])
-        contrib_cnt = np.ones(3 * len(wu), dtype=np.int64)
-        vid, cnt = segment_sum(contrib_vid, contrib_cnt)
+        import ray
+
+        d = ray.get(self.deg_ref)
+        return _ship(*_orient(tbl, d["vid"], d["deg"]), self.P)
+
+
+def _announce(P: int):
+    """Degree-announce exchange (no broadcast): each vertex row sends
+    (x, v, deg v) for x ∈ N(v) to part_of(x); x's group sees all of
+    N(x) with degrees, and deg x as its own row count."""
+
+    def send(tbl: pa.Table) -> pa.Table:
+        row, v, x = _flat(tbl)
+        deg = pc.list_value_length(tbl.column("nbrs")).to_numpy(zero_copy_only=False)
         return pa.table(
-            {"vid": pa.array(vid, pa.int64()), "triangles": pa.array(cnt, pa.int64())}
+            {
+                "apart": pa.array(part_of(x, P), pa.int32()),
+                "x": pa.array(x, pa.int64()),
+                "v": pa.array(v, pa.int64()),
+                "dv": pa.array(deg[row], pa.int64()),
+            }
         )
 
+    def orient_ship(tbl: pa.Table) -> pa.Table:
+        x, v, dv = _np(tbl, "x"), _np(tbl, "v"), _np(tbl, "dv")
+        order = np.lexsort((v, x))
+        x, v, dv = x[order], v[order], dv[order]
+        starts = segment_starts(x)
+        deg = np.diff(np.append(starts, len(x)))
+        keep = _forward(np.repeat(deg, deg), x, dv, v)
+        counts = np.add.reduceat(keep.astype(np.int64), starts)
+        return _ship(x[starts], counts, v[keep], dv[keep], P)
 
-def _closed_wedges(tbl: pa.Table):
-    """Shared wedge-closing core of the intersect stage: returns the
-    verified triangle corner arrays (u, v, w) for one ipart group, or
-    None when the group closes nothing. (u,v), (u,w), (v,w) are all
-    oriented edges of the triangle — consumers aggregate per vertex
-    (_Intersect) or per edge (ktruss edge support)."""
-    from signal_collect_ray.util import pair_hash
-
-    kind_other = _np(tbl, "other")
-    owners = tbl.filter(pa.array(kind_other < 0))
-    edges = tbl.filter(pa.array(kind_other >= 0))
-    if len(owners) == 0 or len(edges) == 0:
-        return None
-    ok = _np(owners, "key")
-    oorder = np.argsort(ok, kind="stable")
-    ok = ok[oorder]
-    onbrs = owners.column("nbrs").combine_chunks().take(
-        pa.array(oorder, pa.int64())
-    )
-    off = onbrs.offsets.to_numpy(zero_copy_only=False).astype(np.int64)
-    vals = onbrs.values.to_numpy(zero_copy_only=False)
-
-    # local oriented-edge key set (v, w) for membership tests
-    ocounts = np.diff(off)
-    v_rep = np.repeat(ok, ocounts)
-    ekeys = np.sort(pair_hash(v_rep, vals))
-
-    e_dst = _np(edges, "key")
-    e_src = _np(edges, "other")
-    e_nbrs = edges.column("nbrs").combine_chunks()
-    eoff = e_nbrs.offsets.to_numpy(zero_copy_only=False).astype(np.int64)
-    evals = e_nbrs.values.to_numpy(zero_copy_only=False)
-
-    ecounts = np.diff(eoff)
-    wedge_u = np.repeat(e_src, ecounts)
-    wedge_v = np.repeat(e_dst, ecounts)
-    wedge_w = evals
-
-    wkeys = pair_hash(wedge_v, wedge_w)
-    pos = np.searchsorted(ekeys, wkeys)
-    pos_c = np.minimum(pos, len(ekeys) - 1)
-    cand = ekeys[pos_c] == wkeys
-
-    # exact verification of the hash matches — vectorized ragged
-    # binary search: each candidate searches its owner's sorted
-    # adjacency segment, all candidates advanced together per
-    # bisection round (≤ log2(max_deg) vectorized passes).
-    ci = np.flatnonzero(cand)
-    if len(ci) == 0:
-        return None
-    vl = np.searchsorted(ok, wedge_v[ci])
-    w_q = wedge_w[ci]
-    lo = off[vl].copy()
-    hi = off[vl + 1].copy()
-    while True:
-        open_m = lo < hi
-        if not open_m.any():
-            break
-        mid = (lo + hi) >> 1
-        mv = vals[np.minimum(mid, len(vals) - 1)]
-        go_right = open_m & (mv < w_q)
-        go_left = open_m & ~go_right
-        lo[go_right] = mid[go_right] + 1
-        hi[go_left] = mid[go_left]
-    in_range = lo < off[vl + 1]
-    verified = in_range & (vals[np.minimum(lo, len(vals) - 1)] == w_q)
-    tri = ci[verified]
-    if len(tri) == 0:
-        return None
-    return wedge_u[tri], wedge_v[tri], wedge_w[tri]
+    return send, orient_ship
 
 
-# Above this many vertices the degree table is joined (two co-partition
-# shuffles) instead of broadcast. 20M vertices ≈ 320 MB of (vid, deg)
+def _closed_wedges(tbl: pa.Table, n=None):
+    """Triangle corners (u, v, w) closed in one ipart group, in the ids
+    the group was shipped with: edge row (key=v, other=u) carries
+    wedges (u, v, w), which close iff the owner row of v lists w.
+
+    ``n`` is V when ids are global ranks (< n); None ranks the group's
+    ids locally. Membership is the exact key rank_v·n + rank_w."""
+    row, v, w = _flat(tbl, "key")
+    owner = (_np(tbl, "other") == _np(tbl, "key"))[row]
+    rv, rw = v, w
+    if n is None:
+        ids = np.unique(np.concatenate([_np(tbl, "key"), w]))
+        rv, rw, n = np.searchsorted(ids, v), np.searchsorted(ids, w), len(ids)
+    pair = rv * np.int64(n) + rw
+    wedge = np.flatnonzero(~owner)
+    hit, _ = isin_sorted(np.sort(pair[owner]), pair[wedge])
+    tri = wedge[hit]
+    return _np(tbl, "other")[row[tri]], v[tri], w[tri]
+
+
+class _Close:
+    """Step D: one ipart group → ``reduce(u, v, w)`` of the triangles
+    it closes, corners as vids. With the broadcast ``deg_ref`` the group
+    holds global ranks; without it, vids."""
+
+    __name__ = "_Close"
+
+    def __init__(self, reduce, deg_ref=None):
+        self.reduce, self.deg_ref = reduce, deg_ref
+
+    def __call__(self, tbl: pa.Table) -> pa.Table:
+        if self.deg_ref is None:
+            return self.reduce(*_closed_wedges(tbl))
+        import ray
+
+        vids = ray.get(self.deg_ref)["vid"]
+        return self.reduce(*(vids[c] for c in _closed_wedges(tbl, len(vids))))
+
+
+# Above this many vertices the degree table is announced through one
+# exchange instead of broadcast. 20M vertices ≈ 320 MB of (vid, deg)
 # int64 pairs in the object store — read zero-copy by every orient task,
 # shipped once per node, not per batch.
 BROADCAST_DEGREE_LIMIT = 20_000_000
 
 
+def _triangle_partials(adj, num_partitions: int, reduce):
+    """Steps B–D over exchange-A rows: a Dataset of ``reduce(u, v, w)``
+    tables, one per ipart group; together they cover every triangle once.
+    ``reduce`` must accept empty arrays."""
+    import ray.data as rd
+
+    P = num_partitions
+    n = adj.count()
+    if n == 0:
+        none = np.empty(0, np.int64)
+        return rd.from_arrow(reduce(none, none, none))
+    if n <= BROADCAST_DEGREE_LIMIT:
+        deg_ref = _broadcast_degrees(adj)
+        shipped = adj.map_batches(_OrientShip(deg_ref, P), batch_format="pyarrow")
+        close = _Close(reduce, deg_ref)
+    else:
+        send, orient_ship = _announce(P)
+        shipped = (
+            adj.map_batches(send, batch_format="pyarrow")
+            .groupby("apart")
+            .map_groups(orient_ship, batch_format="pyarrow")
+        )
+        close = _Close(reduce)
+    return shipped.groupby("ipart").map_groups(close, batch_format="pyarrow")
+
+
 def _oriented_edges(edges_ds, num_partitions=64):
-    # uniq/degs feed multiple consumers — materialize once (small:
-    # O(E) ids / O(V) degree rows) instead of re-executing the lineage
-    # per consumer (Ray Datasets are lazy; branches recompute).
-    uniq = _unique_undirected(edges_ds).select_columns(["a", "b"]).materialize()
-    degs = _degrees(uniq, num_partitions).materialize()
-
-    n_vertices = degs.count()
-    if n_vertices == 0:
-        # no surviving undirected edges (e.g. self-loops only)
-        def to_oriented(tbl: pa.Table) -> pa.Table:
-            return pa.table(
-                {
-                    "spart": pa.array([], pa.int32()),
-                    "src": pa.array([], pa.int64()),
-                    "dst": pa.array([], pa.int64()),
-                }
-            )
-
-        return uniq.map_batches(to_oriented, batch_format="pyarrow"), degs
-    if n_vertices <= BROADCAST_DEGREE_LIMIT:
-        # broadcast path: ray.put the sorted (vid, deg) arrays once;
-        # every orient batch does two zero-copy searchsorted lookups.
-        import ray
-
-        dt = pa.concat_tables(
-            [pa.table(b) if not isinstance(b, pa.Table) else b
-             for b in degs.iter_batches(batch_format="pyarrow", batch_size=None)]
-        ).sort_by("vid")
-        deg_ref = ray.put(
-            {
-                "vid": dt.column("vid").combine_chunks().to_numpy(),
-                "deg": dt.column("deg").combine_chunks().to_numpy(),
-            }
-        )
-
-        class _OrientBroadcast:
-            __name__ = "_OrientBroadcast"
-
-            def __init__(self, deg_ref, P):
-                self.deg_ref, self.P = deg_ref, P
-                self._deg = None
-
-            def _lookup(self, ids):
-                if self._deg is None:
-                    import ray as _r
-
-                    self._deg = _r.get(self.deg_ref)
-                pos = np.searchsorted(self._deg["vid"], ids)
-                return self._deg["deg"][pos]
-
-            def __call__(self, tbl: pa.Table) -> pa.Table:
-                a, b = _np(tbl, "a"), _np(tbl, "b")
-                da, db = self._lookup(a), self._lookup(b)
-                a_first = (da < db) | ((da == db) & (a < b))
-                src = np.where(a_first, a, b)
-                dst = np.where(a_first, b, a)
-                return pa.table(
-                    {
-                        "spart": pa.array(part_of(src, self.P), pa.int32()),
-                        "src": pa.array(src, pa.int64()),
-                        "dst": pa.array(dst, pa.int64()),
-                    }
-                )
-
-        return (
-            uniq.map_batches(
-                _OrientBroadcast(deg_ref, num_partitions), batch_format="pyarrow"
-            ),
-            degs,
-        )
-
-    # join path (vertex set too large to broadcast): two co-partitioned
-    # hash joins attach deg_a / deg_b.
-    with_da = _attach(uniq, "a", degs.rename_columns(["vid", "deg_a"]), "vid", ["deg_a"])
-    with_db = _attach(
-        with_da, "b", degs.rename_columns(["vid", "deg_b"]), "vid", ["deg_b"]
-    )
+    """The degree-oriented DAG as (spart, src, dst) edge rows, and the
+    (vid, deg) rows — exchange A plus the broadcast orientation. Its
+    consumer (cliques' bitset kernels) bounds V far below
+    ``BROADCAST_DEGREE_LIMIT``, so there is no announce path."""
+    adj = _adjacency(edges_ds, num_partitions)
+    degs = adj.map_batches(_degree_rows, batch_format="pyarrow")
+    deg_ref = _broadcast_degrees(adj) if adj.count() else None
 
     def orient(tbl: pa.Table) -> pa.Table:
-        a, b = _np(tbl, "a"), _np(tbl, "b")
-        da, db = _np(tbl, "deg_a"), _np(tbl, "deg_b")
-        a_first = (da < db) | ((da == db) & (a < b))
-        src = np.where(a_first, a, b)
-        dst = np.where(a_first, b, a)
+        import ray
+
+        d = ray.get(deg_ref)
+        rv, counts, rx, _ = _orient(tbl, d["vid"], d["deg"])
+        src = d["vid"][np.repeat(rv, counts)]
         return pa.table(
             {
                 "spart": pa.array(part_of(src, num_partitions), pa.int32()),
                 "src": pa.array(src, pa.int64()),
-                "dst": pa.array(dst, pa.int64()),
+                "dst": pa.array(d["vid"][rx], pa.int64()),
             }
         )
 
-    return with_db.map_batches(orient, batch_format="pyarrow"), degs
+    return adj.map_batches(orient, batch_format="pyarrow"), degs
+
+
+def _count_rows(u, v, w) -> pa.Table:
+    return pa.table({"t": pa.array([len(u)], pa.int64())})
+
+
+def _vertex_rows(u, v, w) -> pa.Table:
+    vid, cnt = segment_sum(np.concatenate([u, v, w]), np.ones(3 * len(u), np.int64))
+    return pa.table(
+        {"vid": pa.array(vid, pa.int64()), "triangles": pa.array(cnt, pa.int64())}
+    )
+
+
+def _triangle_rows(u, v, w) -> pa.Table:
+    m = np.sort(np.stack([u, v, w], axis=1), axis=1)
+    return pa.table({c: pa.array(m[:, i], pa.int64()) for i, c in enumerate("abc")})
 
 
 def triangle_counts(edges_ds, num_partitions: int = 64):
@@ -450,32 +474,22 @@ def triangle_counts(edges_ds, num_partitions: int = 64):
 
     Vertices on no triangle are absent (count 0).
     """
-    return _sum_by_key(
-        _triangle_partials(edges_ds, num_partitions),
-        "vid",
-        "triangles",
-        num_partitions,
+    partials = _triangle_partials(
+        _adjacency(edges_ds, num_partitions), num_partitions, _vertex_rows
     )
-
-
-def _triangle_partials(edges_ds, num_partitions: int = 64):
-    oriented, _ = _oriented_edges(edges_ds, num_partitions)
-    shipped = oriented.groupby("spart").map_groups(
-        _OrientAndShip(num_partitions), batch_format="pyarrow"
-    )
-    return shipped.groupby("ipart").map_groups(_Intersect(), batch_format="pyarrow")
+    return _sum_by_key(partials, "vid", "triangles", num_partitions)
 
 
 def total_triangles(edges_ds, num_partitions: int = 64) -> int:
-    """Total distinct triangles in the (undirected-ized) graph.
-
-    Sums the per-partition partials directly — no per-vertex shuffle."""
-    from ray.data.aggregate import Sum
-
-    partials = _triangle_partials(edges_ds, num_partitions)
-    row = partials.aggregate(Sum("triangles", alias_name="t3"))
-    total = row["t3"] if row and row["t3"] is not None else 0
-    return int(total) // 3
+    """Total distinct triangles in the (undirected-ized) graph: the
+    caller sums one closed-wedge count per ipart group."""
+    partials = _triangle_partials(
+        _adjacency(edges_ds, num_partitions), num_partitions, _count_rows
+    )
+    return sum(
+        int(_np(b, "t").sum())
+        for b in partials.iter_batches(batch_format="pyarrow", batch_size=None)
+    )
 
 
 def clustering_coefficient(edges_ds, num_partitions: int = 64):
@@ -483,104 +497,64 @@ def clustering_coefficient(edges_ds, num_partitions: int = 64):
     Σ|N(v)∩N(u)| / (deg·(deg−1)) = 2·tri / (deg·(deg−1))).
 
     Returns Dataset (vid:int64, coefficient:float64) over ALL vertices
-    (0.0 when deg < 2 or no triangles).
+    (0.0 when deg < 2 or no triangles). One builder call feeds both the
+    degree and the triangle rows; one exchange sums them per vertex.
     """
-    uniq = _unique_undirected(edges_ds).select_columns(["a", "b"]).materialize()
-    degs = _degrees(uniq).materialize()
-    tris = triangle_counts(edges_ds, num_partitions)
-    joined = _attach(
-        degs, "vid", tris.rename_columns(["tvid", "triangles"]), "tvid", ["triangles"]
-    )
+    P = num_partitions
+    adj = _adjacency(edges_ds, P)
+
+    def keyed(tbl: pa.Table, deg, tri) -> pa.Table:
+        return pa.table(
+            {
+                "gpart": pa.array(part_of(_np(tbl, "vid"), P), pa.int32()),
+                "vid": tbl.column("vid"),
+                "deg": deg,
+                "triangles": tri,
+            }
+        )
+
+    def deg_rows(tbl: pa.Table) -> pa.Table:
+        d = _degree_rows(tbl)
+        return keyed(d, d.column("deg"), pa.array(np.zeros(len(d), np.int64)))
+
+    def tri_rows(tbl: pa.Table) -> pa.Table:
+        zeros = pa.array(np.zeros(len(tbl), np.int64))
+        return keyed(tbl, zeros, tbl.column("triangles"))
 
     def finish(tbl: pa.Table) -> pa.Table:
-        deg = _np(tbl, "deg").astype(np.float64)
-        tri = _np(tbl, "triangles").astype(np.float64)
+        vid = _np(tbl, "vid")
+        order = np.argsort(vid, kind="stable")
+        vid = vid[order]
+        starts = segment_starts(vid)
+        deg = np.add.reduceat(_np(tbl, "deg")[order], starts).astype(np.float64)
+        tri = np.add.reduceat(_np(tbl, "triangles")[order], starts).astype(np.float64)
         denom = deg * (deg - 1.0)
         coeff = np.where(denom > 0, 2.0 * tri / np.maximum(denom, 1.0), 0.0)
         return pa.table(
             {
-                "vid": tbl.column("vid"),
+                "vid": pa.array(vid[starts], pa.int64()),
                 "coefficient": pa.array(coeff, pa.float64()),
             }
         )
 
-    with_tri = joined.map_batches(finish, batch_format="pyarrow")
-
-    # vertices with no triangles were dropped by the inner join — union
-    # them back with coefficient 0.
-    tri_vids = with_tri.select_columns(["vid"])
-
-    def zero_rows(tbl: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "vid": tbl.column("vid"),
-                "coefficient": pa.array(np.zeros(len(tbl)), pa.float64()),
-            }
-        )
-
-    all_zero = degs.map_batches(zero_rows, batch_format="pyarrow")
-
-    def add_part(tbl: pa.Table) -> pa.Table:
-        return tbl.append_column(
-            "gpart", pa.array(part_of(_np(tbl, "vid"), num_partitions), pa.int32())
-        )
-
-    def max_by_vid(tbl: pa.Table) -> pa.Table:
-        vid = _np(tbl, "vid")
-        c = _np(tbl, "coefficient")
-        order = np.argsort(vid, kind="stable")
-        vid, c = vid[order], c[order]
-        starts = segment_starts(vid)
-        out = np.maximum.reduceat(c, starts) if len(vid) else c
-        return pa.table(
-            {
-                "vid": pa.array(vid[starts], pa.int64()),
-                "coefficient": pa.array(out, pa.float64()),
-            }
-        )
-
+    tris = _triangle_partials(adj, P, _vertex_rows)
     return (
-        with_tri.union(all_zero)
-        .map_batches(add_part, batch_format="pyarrow")
+        adj.map_batches(deg_rows, batch_format="pyarrow")
+        .union(tris.map_batches(tri_rows, batch_format="pyarrow"))
         .groupby("gpart")
-        .map_groups(max_by_vid, batch_format="pyarrow")
+        .map_groups(finish, batch_format="pyarrow")
     )
 
 
 def triangle_list(edges_ds, num_partitions: int = 64):
     """Enumerate every distinct triangle as a canonical (a < b < c) row
-    — the same two-exchange degree-oriented wedge closure as
-    ``triangle_counts`` (each triangle closes exactly ONE wedge in the
-    orientation DAG, so rows are exactly the triangles, no dedup
-    needed); the per-group kernel just id-sorts the corner triple
-    instead of aggregating per vertex. Output size is the triangle
+    — the same two-exchange wedge closure as ``total_triangles`` (each
+    triangle closes exactly ONE wedge in the orientation DAG, so rows are
+    exactly the triangles, no dedup needed). Output size is the triangle
     count itself — stream it to a sink, don't take_all at web scale."""
-
-    def lister(tbl: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                "a": pa.array([], pa.int64()),
-                "b": pa.array([], pa.int64()),
-                "c": pa.array([], pa.int64()),
-            }
-        )
-        w = _closed_wedges(tbl)
-        if w is None:
-            return empty
-        m = np.sort(np.stack(w, axis=1), axis=1)
-        return pa.table(
-            {
-                "a": pa.array(m[:, 0], pa.int64()),
-                "b": pa.array(m[:, 1], pa.int64()),
-                "c": pa.array(m[:, 2], pa.int64()),
-            }
-        )
-
-    oriented, _ = _oriented_edges(edges_ds, num_partitions)
-    shipped = oriented.groupby("spart").map_groups(
-        _OrientAndShip(num_partitions), batch_format="pyarrow"
+    return _triangle_partials(
+        _adjacency(edges_ds, num_partitions), num_partitions, _triangle_rows
     )
-    return shipped.groupby("ipart").map_groups(lister, batch_format="pyarrow")
 
 
 def diamond_count(edges_ds, num_partitions: int = 64) -> int:
@@ -588,63 +562,36 @@ def diamond_count(edges_ds, num_partitions: int = 64) -> int:
     edge, counted per shared edge): Σ_e C(t_e, 2) where t_e is the
     number of triangles containing undirected edge e.
 
-    Built on the same degree-oriented wedge closure as
-    ``triangle_list`` — each triangle row is exploded into its 3
-    canonical (a < b) edges with a per-batch pre-combined count, one
-    hash exchange on the edge key, and a per-group C(t,2) fold, so the
-    shipped volume is O(#triangles) and the exchange is O(#triangle
-    edges), never all-pairs. Pure integer arithmetic end to end."""
-    tris = triangle_list(edges_ds, num_partitions)
+    Built on the same two-exchange wedge closure as ``triangle_list``:
+    each ipart group explodes its triangles into their 3 canonical
+    (a < b) edges, pre-combined per group, then one hash exchange on the
+    edge key and a per-group C(t,2) fold; the caller sums the P folds.
+    The exchange is O(#triangle edges), never all-pairs."""
+    P = num_partitions
 
-    def explode(tbl: pa.Table) -> pa.Table:
-        a = tbl.column("a").to_numpy(zero_copy_only=False)
-        b = tbl.column("b").to_numpy(zero_copy_only=False)
-        c = tbl.column("c").to_numpy(zero_copy_only=False)
-        # 3 canonical edges per triangle; pre-combine within the batch
-        lo = np.concatenate([a, a, b])
-        hi = np.concatenate([b, c, c])
-        order = np.lexsort((hi, lo))
-        lo, hi = lo[order], hi[order]
-        # composite sort key only for segment detection within the batch
-        changed = np.ones(len(lo), dtype=bool)
-        if len(lo) > 1:
-            changed[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
-        starts = np.flatnonzero(changed)
-        counts = np.diff(np.append(starts, len(lo)))
-        lo, hi = lo[starts], hi[starts]
+    def edge_rows(u, v, w) -> pa.Table:
+        lo = np.concatenate([np.minimum(u, v), np.minimum(u, w), np.minimum(v, w)])
+        hi = np.concatenate([np.maximum(u, v), np.maximum(u, w), np.maximum(v, w)])
+        lo, hi, t = _pair_sums(lo, hi, np.ones(len(lo), np.int64))
         return pa.table(
             {
-                "epart": pa.array(
-                    part_of(lo * np.int64(1_000_003) + hi, num_partitions),
-                    pa.int32(),
-                ),
+                "epart": pa.array(part_of(lo * np.int64(1_000_003) + hi, P), pa.int32()),
                 "lo": pa.array(lo, pa.int64()),
                 "hi": pa.array(hi, pa.int64()),
-                "t": pa.array(counts.astype(np.int64), pa.int64()),
+                "t": pa.array(t, pa.int64()),
             }
         )
 
     def fold(tbl: pa.Table) -> pa.Table:
-        lo = tbl.column("lo").to_numpy(zero_copy_only=False)
-        hi = tbl.column("hi").to_numpy(zero_copy_only=False)
-        t = tbl.column("t").to_numpy(zero_copy_only=False)
-        # sum partials per edge within the group, then C(t,2)
-        order = np.lexsort((hi, lo))
-        lo, hi, t = lo[order], hi[order], t[order]
-        changed = np.ones(len(lo), dtype=bool)
-        if len(lo) > 1:
-            changed[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
-        starts = np.flatnonzero(changed)
-        te = np.add.reduceat(t, starts) if len(t) else t
-        d = int((te * (te - 1) // 2).sum()) if len(te) else 0
-        return pa.table({"d": pa.array([d], pa.int64())})
-
-    from ray.data.aggregate import Sum
+        _, _, t = _pair_sums(_np(tbl, "lo"), _np(tbl, "hi"), _np(tbl, "t"))
+        return pa.table({"d": pa.array([int((t * (t - 1) // 2).sum())], pa.int64())})
 
     partials = (
-        tris.map_batches(explode, batch_format="pyarrow")
+        _triangle_partials(_adjacency(edges_ds, P), P, edge_rows)
         .groupby("epart")
         .map_groups(fold, batch_format="pyarrow")
     )
-    row = partials.aggregate(Sum("d", alias_name="diamonds"))
-    return int(row["diamonds"]) if row and row["diamonds"] is not None else 0
+    return sum(
+        int(_np(b, "d").sum())
+        for b in partials.iter_batches(batch_format="pyarrow", batch_size=None)
+    )

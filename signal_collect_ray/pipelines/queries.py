@@ -19592,13 +19592,17 @@ _E_INCR_SQL = (
 
 
 def _incremental_deltas(sf_dir: str, symmetric: bool):
-    """edge_deltas callback delivering the click-add edges ONCE at
-    superstep 3 — mid-run GraphEditor mutation (engine.py run:
-    edge_deltas), state migrates, new vertices algo.init."""
+    """edge_deltas callback delivering the click-add edges ONCE, on the
+    first poll at superstep ≥ 1 — mid-run GraphEditor mutation
+    (engine.py run: edge_deltas), state migrates, new vertices
+    algo.init. The durable engine polls after every unconverged step
+    and once more at its final step when converged, so a poll at a step
+    ≥ 1 always happens: the increment is delivered whether or not the
+    base run has converged by then."""
     delivered = [False]
 
     def deltas(step):
-        if not delivered[0] and step >= 3:
+        if not delivered[0] and step >= 1:
             delivered[0] = True
             adds = _event_edge_deltas(sf_dir, "click")
             return {
@@ -19611,7 +19615,7 @@ def _incremental_deltas(sf_dir: str, symmetric: bool):
 
 def q_cc_incremental(sf_dir: str):
     """INCREMENTAL connected components: start min-label propagation on
-    the base graph, inject the click-add edges MID-RUN at superstep 3
+    the base graph, inject the click-add edges MID-RUN after superstep 1
     through the durable engine's edge_deltas path (graph rebuilt via
     Graph.update, survivor state migrates, every vertex re-enqueued —
     reference GraphEditor.scala:37-201 semantics), and continue to
@@ -19639,7 +19643,7 @@ def q_cc_incremental(sf_dir: str):
 
 def q_sssp_incremental(sf_dir: str):
     """INCREMENTAL SSSP from vertex 0: unweighted distances on the base
-    directed graph, click-add edges injected mid-run at superstep 3,
+    directed graph, click-add edges injected mid-run after superstep 1,
     relaxation continues from the warm distances. Distance relaxation
     is monotone non-increasing under edge additions, so the fixpoint
     equals cold SSSP over base ∪ adds (the oracle's unrolled BFS)."""

@@ -10,6 +10,7 @@ from signal_collect_ray.algorithms import (
     clustering_coefficient,
     total_triangles,
     triangle_counts,
+    triangle_list,
 )
 
 from tests import fixtures as fx
@@ -232,3 +233,172 @@ def test_jaccard_random_vs_bruteforce(ray_session):
                     t.column("id_b").to_pylist(),
                     t.column("jac").to_pylist()))
     assert rows == expected
+
+
+# -- hostile graphs: one oriented-adjacency builder, both degree paths -----
+
+_BIG = 2**62  # ids just below it exercise the full int64 range
+
+
+def _hostile(kind):
+    """(src, dst) on compact ids 0..n-1, with self-loop-only vertices and
+    duplicate edges in both directions; "hub" adds a dominant hub over a
+    random graph, "tiny" is one triangle (fewer vertices than groups)."""
+    rng = np.random.RandomState(17)
+    if kind == "tiny":
+        src, dst = [0, 1, 2, 1, 0], [1, 2, 0, 0, 2]
+    else:
+        n = 40
+        src = list(rng.randint(1, n, 150))
+        dst = list(rng.randint(1, n, 150))
+        hub = [v for v in range(1, n) if rng.rand() < 0.8]
+        src += [0] * len(hub) + hub
+        dst += hub + [0] * len(hub)
+    n = max(src + dst) + 1
+    # duplicates both ways, then self-loop-only vertices n, n+1
+    src, dst = src + dst[:10] + src[:10], dst + src[:10] + dst[:10]
+    src, dst = src + [n, n + 1, n + 1], dst + [n, n + 1, n + 1]
+    return np.array(src, np.int64), np.array(dst, np.int64)
+
+
+def _brute(src, dst):
+    """Dense numpy oracle over the undirected simple graph: (vids with a
+    non-loop edge, degree, per-vertex triangles, sorted triangle rows,
+    {(a, b): support} over every edge with a < b)."""
+    ids = np.unique(np.concatenate([src, dst]))
+    s, d = np.searchsorted(ids, src), np.searchsorted(ids, dst)
+    A = np.zeros((len(ids), len(ids)), np.int64)
+    A[s, d] = A[d, s] = 1
+    np.fill_diagonal(A, 0)
+    A2 = A @ A
+    deg = A.sum(axis=1)
+    tri = (A2 * A).sum(axis=1) // 2
+    i, j, k = np.nonzero(A[:, :, None] & A[:, None, :] & A[None, :, :])
+    m = (i < j) & (j < k)
+    rows = sorted(zip(ids[i[m]].tolist(), ids[j[m]].tolist(), ids[k[m]].tolist()))
+    a, b = np.nonzero(np.triu(A))
+    supp = {(int(ids[x]), int(ids[y])): int(A2[x, y]) for x, y in zip(a, b)}
+    has = deg > 0
+    return ids[has], deg[has], tri[has], rows, supp
+
+
+def _ds(src, dst, blocks=3):
+    return rd.from_arrow(pa.table({"src": src, "dst": dst})).repartition(blocks)
+
+
+def _results(src, dst, P):
+    from signal_collect_ray.algorithms.ktruss import edge_support
+
+    edges = _ds(src, dst)
+    counts = {r["vid"]: r["triangles"] for r in triangle_counts(edges, P).take_all()}
+    coeff = {r["vid"]: r["coefficient"] for r in clustering_coefficient(edges, P).take_all()}
+    rows = sorted(
+        (r["a"], r["b"], r["c"]) for r in triangle_list(edges, P).take_all()
+    )
+    supp = None
+    if src.max() < 2**31:
+        supp = {
+            (r["key"] >> 32, r["key"] & (2**32 - 1)): r["supp"]
+            for r in edge_support(edges, P).take_all()
+        }
+    else:
+        with pytest.raises(ValueError):
+            edge_support(edges, P).take_all()
+    return total_triangles(edges, P), counts, coeff, rows, supp
+
+
+@pytest.mark.parametrize("P", [1, 3, 8])
+@pytest.mark.parametrize("kind", ["hub", "tiny"])
+def test_hostile_graphs_vs_brute_force(kind, P, monkeypatch):
+    from signal_collect_ray.algorithms import triangles
+
+    src, dst = _hostile(kind)
+    for ids in (src, dst), (_BIG - 1 - 7919 * src, _BIG - 1 - 7919 * dst):
+        vid, deg, tri, rows, supp = _brute(*ids)
+        expect_coeff = {
+            int(v): (2.0 * t / (d * (d - 1)) if d > 1 else 0.0)
+            for v, d, t in zip(vid, deg, tri)
+        }
+        got = _results(*ids, P)
+        total, counts, coeff, got_rows, got_supp = got
+        assert total == len(rows)
+        assert counts == {int(v): int(t) for v, t in zip(vid, tri) if t}
+        assert coeff.keys() == expect_coeff.keys()
+        for v, c in expect_coeff.items():
+            assert coeff[v] == pytest.approx(c, abs=1e-12)
+        assert got_rows == rows
+        if got_supp is not None:
+            assert got_supp == {e: c for e, c in supp.items() if c}
+        # the degree-announce exchange (no broadcast) gives the same answers
+        monkeypatch.setattr(triangles, "BROADCAST_DEGREE_LIMIT", 0)
+        assert _results(*ids, P) == got
+        monkeypatch.undo()
+
+
+def test_self_loops_only():
+    src = dst = np.array([5, 5, 9], np.int64)
+    assert total_triangles(_ds(src, dst)) == 0
+    assert triangle_counts(_ds(src, dst)).take_all() == []
+    assert clustering_coefficient(_ds(src, dst)).take_all() == []
+
+
+# -- the wedge kernel alone: numpy only, no Ray calls ----------------------
+
+
+def _adjacency_rows(src, dst):
+    """Exchange A's output for one group, built with numpy."""
+    from signal_collect_ray.algorithms.triangles import _dedup_pairs, _list_column
+
+    keep = src != dst
+    s, d = src[keep], dst[keep]
+    v, x = _dedup_pairs(np.concatenate([s, d]), np.concatenate([d, s]))
+    vids, counts = np.unique(v, return_counts=True)
+    return pa.table({"v": vids, "nbrs": _list_column(counts, x)})
+
+
+def _groups(tbl, col):
+    part = tbl.column(col).to_numpy()
+    return [tbl.filter(pa.array(part == p)) for p in np.unique(part)]
+
+
+def _kernel_triangles(src, dst, P, announce):
+    from signal_collect_ray.algorithms import triangles as T
+
+    adj = _adjacency_rows(src, dst)
+    vids = adj.column("v").to_numpy()
+    if announce:
+        send, orient_ship = T._announce(P)
+        shipped = pa.concat_tables(
+            [orient_ship(g) for g in _groups(send(adj), "apart")]
+        )
+        n, back = None, lambda c: c
+    else:
+        deg = T._degree_rows(adj).column("deg").to_numpy()
+        shipped = T._ship(*T._orient(adj, vids, deg), P)
+        n, back = len(vids), lambda c: vids[c]
+    found = []
+    for g in _groups(shipped, "ipart"):
+        u, v, w = (back(c) for c in T._closed_wedges(g, n))
+        found += [tuple(sorted(t)) for t in zip(u.tolist(), v.tolist(), w.tolist())]
+    return found
+
+
+@pytest.mark.parametrize("announce", [False, True])
+@pytest.mark.parametrize("P", [1, 3, 8])
+def test_wedge_kernel_closes_each_triangle_once(P, announce):
+    for src, dst in (_hostile("hub"), _hostile("tiny"), fx.cc_graph6()):
+        src, dst = np.asarray(src, np.int64), np.asarray(dst, np.int64)
+        for ids in (src, dst), (_BIG - 1 - 7919 * src, _BIG - 1 - 7919 * dst):
+            assert sorted(_kernel_triangles(*ids, P, announce)) == _brute(*ids)[3]
+
+
+def test_ship_sends_only_closable_suffixes():
+    from signal_collect_ray.algorithms.triangles import _ship
+
+    # vertex 7 has N+ = {3, 1, 2} with degrees {5, 4, 4}: (deg, id) order
+    # is 1, 2, 3, so 1 carries [2, 3], 2 carries [3] and 3 is not sent
+    t = _ship(np.array([7, 8]), np.array([3, 0]), np.array([3, 1, 2]),
+              np.array([5, 4, 4]), 4)
+    rows = list(zip(t.column("key").to_pylist(), t.column("other").to_pylist(),
+                    t.column("nbrs").to_pylist()))
+    assert rows == [(7, 7, [1, 2, 3]), (1, 7, [2, 3]), (2, 7, [3])]
