@@ -17,10 +17,13 @@ CSR blocks:
   reads it zero-copy, mirroring the reference keeping adjacency in
   worker heap (``MemoryEfficientDataGraphVertex.scala:57``).
 
-Build is two Ray Data shuffles total: edges grouped by src-partition
-(writes CSR shards and emits pre-deduped per-vertex degree
-contributions), then contributions grouped by vid-partition (writes
-vertex shards). No driver-side loops over rows.
+Build is one task graph on object refs, with no Ray Data shuffle: the
+prepared edge blocks stream out of the input Dataset, one split task per
+block routes its rows to R = min(P, cluster CPUs) reducers (partition p
+belongs to reducer p % R, the executors' ownership rule), R edge tasks
+write the CSR shards of their partitions and emit pre-deduped per-vertex
+degree contributions split by vid-partition, and R vertex tasks merge
+those into the vertex shards. No driver-side loops over rows.
 """
 
 from __future__ import annotations
@@ -51,8 +54,8 @@ def _to_np(tbl: pa.Table, col: str) -> np.ndarray:
 
 
 class _EdgeShardWriter:
-    """map_groups fn over src-partition groups: writes the CSR shard and
-    returns per-vertex degree contributions (srcs exact, dsts deduped)."""
+    """Per src-partition group: writes the CSR shard and returns
+    per-vertex degree contributions (srcs exact, dsts deduped)."""
 
     __name__ = "_EdgeShardWriter"
 
@@ -133,8 +136,8 @@ class _EdgeShardWriter:
 
 
 class _VertexShardWriter:
-    """map_groups fn over vid-partition groups: final degree merge + shard
-    write; returns one stats row per partition."""
+    """Per vid-partition group: final degree merge + shard write;
+    returns one stats row per partition."""
 
     __name__ = "_VertexShardWriter"
 
@@ -177,6 +180,84 @@ class _VertexShardWriter:
                 "n_edges_out": pa.array([int(outd_u.sum())], pa.int64()),
             }
         )
+
+
+# -- the build's task graph: blocks → split → R edge tasks → R vertex tasks
+def _concat(pieces) -> Optional[pa.Table]:
+    """The non-empty pieces (Arrow blocks or split outputs) as one
+    table, or None when every piece is empty."""
+    tbls = [t for t in pieces if t is not None and t.num_rows]
+    return pa.concat_tables(tbls, promote_options="permissive") if tbls else None
+
+
+def _by_owner(tbl: Optional[pa.Table], key: str, R: int) -> list:
+    """Rows of ``tbl`` routed to reducer ``key % R``: R tables (None
+    where a reducer gets no rows), arrival order kept within each."""
+    if tbl is None or not tbl.num_rows:
+        return [None] * R
+    if R == 1:
+        return [tbl]
+    owner = _to_np(tbl, key) % R
+    order = np.argsort(owner, kind="stable")
+    bounds = np.searchsorted(owner[order], np.arange(R + 1))
+    return [
+        tbl.take(order[a:b]) if b > a else None
+        for a, b in zip(bounds[:-1], bounds[1:])
+    ]
+
+
+def _groups(tbl: pa.Table, key: str) -> list:
+    """One sub-table per distinct ``key`` value, arrival order kept."""
+    k = _to_np(tbl, key)
+    order = np.argsort(k, kind="stable")
+    tbl = tbl.take(order)
+    starts = segment_starts(k[order])
+    ends = np.append(starts[1:], len(k))
+    return [tbl.slice(a, b - a) for a, b in zip(starts, ends)]
+
+
+def _returns(outs: list):
+    """A task's list of returns: Ray hands back a one-return task's
+    value as is."""
+    return outs if len(outs) > 1 else outs[0]
+
+
+def _split_task(block: pa.Table, R: int):
+    return _returns(_by_owner(block, "part", R))
+
+
+def _edge_task(edges_tmp: str, P: int, R: int, dedup, part_fn, *pieces):
+    """Writes the CSR shard of every partition it received rows for;
+    returns the degree contributions split by ``vpart % R``."""
+    tbl = _concat(pieces)
+    contribs = None
+    if tbl is not None:
+        write = _EdgeShardWriter(edges_tmp, P, dedup, part_fn=part_fn)
+        contribs = pa.concat_tables([write(g) for g in _groups(tbl, "part")])
+    return _returns(_by_owner(contribs, "vpart", R))
+
+
+def _vertex_task(vertices_tmp: str, exclude, *pieces) -> list:
+    """Writes the vertex shard of every partition it received
+    contributions for; returns their stats rows."""
+    tbl = _concat(pieces)
+    if tbl is None:
+        return []
+    write = _VertexShardWriter(vertices_tmp, exclude)
+    return [write(g).to_pylist()[0] for g in _groups(tbl, "vpart")]
+
+
+def _submit(fn, R: int, *args) -> list:
+    """Submit ``fn`` as a Ray task with R returns; the R refs as a list."""
+    from signal_collect_ray.engine import remote
+
+    refs = remote(fn).options(num_returns=R).remote(*args)
+    return refs if R > 1 else [refs]
+
+
+def _dst_gidx_path(num_vertices: int) -> str:
+    """How ``_add_dst_gidx`` annotates a graph of this many vertices."""
+    return "broadcast" if 8 * num_vertices <= BROADCAST_VIDS_BYTES_LIMIT else "join"
 
 
 def _load_csr(path: str) -> Dict[str, np.ndarray]:
@@ -237,7 +318,7 @@ class Graph:
 
         ``edges_ds`` columns: src:int64, dst:int64 [, weight:float64=1.0].
         ``dedup=True`` (or ``"max"``) drops exact duplicate (src, dst)
-        rows inside the build's own shuffle, keeping the MAX weight per
+        rows inside the build's edge tasks, keeping the MAX weight per
         pair (deterministic regardless of arrival order) — free global
         dedup with no extra exchange. ``dedup="sum"`` instead SUMS the
         weights per pair: the graph-contraction combine (see
@@ -258,6 +339,9 @@ class Graph:
         recorded in graph meta and MUST be re-passed to ``Graph.load``.
         """
         import pyarrow.compute as pc
+        import ray
+
+        from signal_collect_ray.engine import remote
 
         pf = part_fn or part_of
 
@@ -284,29 +368,45 @@ class Graph:
             cols["part"] = pa.array(pf(src, P), pa.int32())
             return pa.table(cols)
 
-        prepared = edges_ds.map_batches(add_cols, batch_format="pyarrow")
-        contribs = prepared.groupby("part").map_groups(
-            _EdgeShardWriter(edges_tmp, P, dedup, part_fn=pf),
-            batch_format="pyarrow",
-        )
         excl = (
             np.unique(np.asarray(exclude_vertices, dtype=np.int64))
             if exclude_vertices is not None
             else None
         )
-        stats = contribs.groupby("vpart").map_groups(
-            _VertexShardWriter(vertices_tmp, excl), batch_format="pyarrow"
-        )
-        rows = stats.take_all()
+        # partition p belongs to reducer p % R, as in the executors. The
+        # blocks stream straight into the split tasks; at R == 1 the one
+        # edge task takes them as they are.
+        R = max(1, min(P, int(ray.cluster_resources().get("CPU", 1))))
+        prepared = edges_ds.map_batches(add_cols, batch_format="pyarrow")
+        pieces = [
+            [ref] if R == 1 else _submit(_split_task, R, ref, R)
+            for bundle in prepared.iter_internal_ref_bundles()
+            for ref, md in bundle.blocks
+            if md.num_rows != 0
+        ]
+        contribs = [
+            _submit(_edge_task, R, edges_tmp, P, R, dedup, pf, *[b[r] for b in pieces])
+            for r in range(R)
+        ]
+        vertex = remote(_vertex_task)
+        rows = [
+            row
+            for rows in ray.get([
+                vertex.remote(vertices_tmp, excl, *[c[r] for c in contribs])
+                for r in range(R)
+            ])
+            for row in rows
+        ]
 
         os.rename(edges_tmp, os.path.join(graph_dir, "edges"))
         os.rename(vertices_tmp, os.path.join(graph_dir, "vertices"))
         # partitions with no vertices get no shard file — that is fine;
         # the engine iterates over existing shards only.
         part_sizes = {int(r["part"]): int(r["n_vertices"]) for r in rows}
+        num_vertices = int(sum(r["n_vertices"] for r in rows))
         meta = {
             "num_partitions": P,
-            "num_vertices": int(sum(r["n_vertices"] for r in rows)),
+            "num_vertices": num_vertices,
             "num_edges": int(sum(r["n_edges_out"] for r in rows)),
             "parts_with_vertices": sorted(int(r["part"]) for r in rows),
             "part_sizes": {str(p): n for p, n in sorted(part_sizes.items())},
@@ -315,6 +415,9 @@ class Graph:
                 if pf is part_of
                 else getattr(pf, "mapper_name", "custom")
             ),
+            # the build's decisions: reducer count and dst_gidx strategy
+            "build_reducers": R,
+            "dst_gidx_path": _dst_gidx_path(num_vertices),
         }
         with open(os.path.join(graph_dir, "meta.json"), "w") as f:
             json.dump(meta, f, indent=2)
@@ -383,8 +486,9 @@ class Graph:
         originals — the standard host-graph aggregation of a web link
         graph (Common Crawl's host-level webgraph product), expressed as
         one ``map_batches`` over the edge shards feeding
-        :meth:`build`'s own shuffle with the ``dedup="sum"`` combine, so
-        contraction costs no exchange beyond the build itself."""
+        :meth:`build`'s own exchange with the ``dedup="sum"`` combine in
+        its edge tasks, so contraction costs no exchange beyond the
+        build itself."""
 
         def contract(tbl: pa.Table) -> pa.Table:
             src = mapping_fn(_to_np(tbl, "src"))
@@ -400,7 +504,7 @@ class Graph:
                         "weight": pa.array(w, pa.float64()),
                     }
                 )
-            # in-batch pre-combine before the build shuffle
+            # in-batch pre-combine before the build's exchange
             order = np.lexsort((d, s))
             s, d, w = s[order], d[order], w[order]
             bound = np.empty(len(s), dtype=bool)
@@ -439,9 +543,10 @@ class Graph:
         reference's idempotent duplicate-add handling
         (``features/MultipleVertexAdditionsSpec.scala``).
 
-        One co-partitioned exchange: current edges ∪ additions ∪
-        removal markers all hash to the same src partition; removals are
-        applied vectorized inside the group before the shard write.
+        One co-partitioned exchange, the build's own: current edges ∪
+        additions ∪ removal markers all hash to the same src partition,
+        so the build's edge task applies removals vectorized inside that
+        partition before the shard write.
         """
         import ray.data as rd
         import pyarrow.compute as pc
@@ -536,7 +641,7 @@ class Graph:
         tagged-union join (the ``_attach`` pattern from
         ``algorithms/triangles.py``) — two exchanges of 3 ints/edge, no
         driver materialization of the vertex set."""
-        if 8 * self.num_vertices <= BROADCAST_VIDS_BYTES_LIMIT:
+        if _dst_gidx_path(self.num_vertices) == "broadcast":
             return self._add_dst_gidx_broadcast()
         return self._add_dst_gidx_join()
 

@@ -94,15 +94,26 @@ class TextExtractor:
 
 
 class _UrlEdgeToVid:
-    """(src_url, dst_url) → (src:int64, dst:int64, weight) via 63-bit url hash."""
+    """(src_url, dst_url) → (src:int64, dst:int64, weight) via 63-bit url
+    hash. A batch repeats its urls (one src per page, popular targets),
+    so both columns are dictionary-encoded together and each distinct
+    url is hashed once; the vids are taken by dictionary index."""
 
     def __call__(self, batch):
         import pyarrow as pa
+        import pyarrow.compute as pc
 
         from signal_collect_ray.util import urls_to_vids
 
-        src = urls_to_vids(batch["src_url"].to_pylist())
-        dst = urls_to_vids(batch["dst_url"].to_pylist())
+        n = len(batch)
+        urls = pa.concat_arrays(
+            [batch["src_url"].combine_chunks(), batch["dst_url"].combine_chunks()]
+        )
+        enc = pc.dictionary_encode(urls)
+        vids = urls_to_vids(enc.dictionary.to_pylist())[
+            enc.indices.to_numpy(zero_copy_only=False)
+        ]
+        src, dst = vids[:n], vids[n:]
         return pa.table(
             {
                 "src": pa.array(src, pa.int64()),

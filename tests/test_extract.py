@@ -101,3 +101,26 @@ def test_pages_to_edges_roundtrip():
     )
     got = sorted((r["src"], r["dst"]) for r in edges)
     assert got == expected
+
+
+def test_url_edge_to_vid_matches_url_to_vid_per_link():
+    # each distinct url is hashed once per batch; every link must still
+    # get exactly url_to_vid of its own url
+    import pyarrow as pa
+
+    from signal_collect_ray.sources.extract import _UrlEdgeToVid
+
+    src = ["http://a.test/", "http://a.test/", "", "http://ü.test/naïve", "http://a.test/"]
+    dst = ["http://b.test/x", "", "http://a.test/", "http://a.test/", "http://ü.test/naïve"]
+    batch = pa.table(
+        {
+            "src_url": pa.chunked_array([src[:2], src[2:4], src[4:]], pa.string()),
+            "dst_url": pa.chunked_array([dst[:3], dst[3:]], pa.string()),
+        }
+    )
+    out = _UrlEdgeToVid()(batch)
+    assert out["src"].to_pylist() == [url_to_vid(u) for u in src]
+    assert out["dst"].to_pylist() == [url_to_vid(u) for u in dst]
+    assert out["weight"].to_pylist() == [1.0] * len(src)
+    empty = _UrlEdgeToVid()(batch.slice(0, 0))
+    assert len(empty) == 0 and empty.schema.names == ["src", "dst", "weight"]
