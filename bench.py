@@ -538,6 +538,7 @@ def run_rmat(num_cpus: int, scale: int = 18, n_edges: int = 5_000_000) -> dict:
     # multiplicity-inclusive in-degree — the graph is built dedup=False,
     # so this is the largest raw signal group the runs below combine
     from signal_collect_ray.algorithms.triangles import _sum_by_key
+    from signal_collect_ray.exchange import block_refs
 
     def ones(tbl):
         import pyarrow as pa
@@ -548,7 +549,7 @@ def run_rmat(num_cpus: int, scale: int = 18, n_edges: int = 5_000_000) -> dict:
         )
 
     deg = _sum_by_key(
-        edges.map_batches(ones, batch_format="pyarrow"), "key", "one", P
+        block_refs(edges.map_batches(ones, batch_format="pyarrow")), "key", "one", P
     )
     out["max_in_degree"] = int(deg.max("one"))
 

@@ -91,7 +91,7 @@ def four_clique_count(edges_ds, num_partitions: int = 32) -> int:
     """Exact number of 4-cliques in the undirected simple graph."""
     import ray
 
-    oriented, _ = _oriented_edges(edges_ds, num_partitions)
+    oriented = _oriented_edges(edges_ds, num_partitions)
     src_parts, dst_parts = [], []
     for b in oriented.iter_batches(batch_format="pyarrow", batch_size=None):
         src_parts.append(b.column("src").to_numpy(zero_copy_only=False))

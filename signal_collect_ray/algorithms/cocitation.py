@@ -351,7 +351,7 @@ def jaccard_top_pairs(
 
         scored = counts.map_batches(score_prune, batch_format="pyarrow")
     else:
-        from signal_collect_ray.algorithms.triangles import _attach
+        from signal_collect_ray.functions.joins import _attach
 
         with_da = _attach(
             counts, "id_a", degs.rename_columns(["vid", "deg_a"]), "vid",

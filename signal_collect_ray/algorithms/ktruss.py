@@ -4,59 +4,44 @@ than k−2 triangles; the fixpoint is the k-truss, the standard
 community-core / spam-farm filter one level finer than k-core.
 
 Each peel round runs the triangle pipeline's oriented-adjacency
-builder and two-exchange wedge closure (``triangles._adjacency`` /
-``_triangle_partials``) with a per-EDGE reduce instead of per-vertex:
-every closed wedge (u,v,w) contributes one unit of support to its three
-edges, keyed by the canonical packed pair id. Support counts
-pre-combine per ipart group before a hash-partitioned exact sum
-(``_sum_by_key``), so that exchange carries one row per surviving edge
-and group, never per triangle. Peeling is MONOTONE (removing
+builder and wedge closure on its object-ref exchange
+(``triangles._adjacency`` / ``_triangle_partials``) with a per-EDGE
+reduce instead of per-vertex: every closed wedge (u,v,w) contributes one
+unit of support to its three canonical (a < b) edges. Support counts
+pre-combine per close reducer before one more exchange on the edge,
+whose reducers sum them exactly on the (a, b) columns (``_pair_sums``),
+so that exchange carries one row per surviving edge and reducer, never
+per triangle, and any int64 id works. Peeling is MONOTONE (removing
 edges only lowers support), so running R rounds of the engine equals an
 R-round unrolled SQL oracle even when the fixpoint lands early.
-
-Requires vertex ids < 2^31 (packed pair keys) — same contract as
-cocitation.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
-from signal_collect_ray.algorithms.triangles import (
-    _adjacency,
-    _np,
-    _sum_by_key,
-    _triangle_partials,
-    _unique_undirected,
-)
-from signal_collect_ray.util import segment_sum
-
-_ID_BITS = 32
+from signal_collect_ray.algorithms.triangles import _edge_supports, _unique_undirected
 
 
-def _pack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    lo, hi = np.minimum(a, b), np.maximum(a, b)
-    if len(hi) and hi.max() >= (1 << (_ID_BITS - 1)):
-        raise ValueError("ktruss requires vertex ids < 2^31")
-    return (lo.astype(np.int64) << _ID_BITS) | hi.astype(np.int64)
-
-
-def _support_rows(u, v, w) -> pa.Table:
-    """Closed wedges of one ipart group → per-edge partial support."""
-    keys = np.concatenate([_pack(u, v), _pack(u, w), _pack(v, w)])
-    k, c = segment_sum(keys, np.ones(len(keys), dtype=np.int64))
-    return pa.table({"key": pa.array(k, pa.int64()), "supp": pa.array(c, pa.int64())})
+def _support_table(a, b, supp) -> pa.Table:
+    return pa.table(
+        {
+            "a": pa.array(a, pa.int64()),
+            "b": pa.array(b, pa.int64()),
+            "supp": pa.array(supp, pa.int64()),
+        }
+    )
 
 
 def edge_support(edges_ds, num_partitions: int = 64):
     """Per-edge triangle support over the undirected graph: Dataset
-    (key: packed canonical pair, supp: int64). Edges on no triangle are
-    absent (support 0)."""
-    partials = _triangle_partials(
-        _adjacency(edges_ds, num_partitions), num_partitions, _support_rows
-    )
-    return _sum_by_key(partials, "key", "supp", num_partitions)
+    (a, b, supp: int64) over the canonical a < b edges. Edges on no
+    triangle are absent (support 0)."""
+    import ray.data as rd
+
+    return rd.from_arrow_refs(_edge_supports(edges_ds, num_partitions, _support_table))
 
 
 def ktruss(edges_ds, k: int, num_partitions: int = 64, max_rounds: int = 30):
@@ -87,16 +72,7 @@ def ktruss(edges_ds, k: int, num_partitions: int = 64, max_rounds: int = 30):
         )
 
         def keep(tbl: pa.Table) -> pa.Table:
-            key = _np(tbl, "key")
-            s = _np(tbl, "supp")
-            sel = np.flatnonzero(s >= thresh)
-            kk = key[sel]
-            return pa.table(
-                {
-                    "a": pa.array(kk >> _ID_BITS, pa.int64()),
-                    "b": pa.array(kk & ((1 << _ID_BITS) - 1), pa.int64()),
-                }
-            )
+            return tbl.filter(pc.greater_equal(tbl.column("supp"), thresh)).select(["a", "b"])
 
         nxt = supp.map_batches(keep, batch_format="pyarrow").materialize()
         m = nxt.count()

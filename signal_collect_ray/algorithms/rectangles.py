@@ -11,15 +11,17 @@ diagonal of C(c,2) distinct 4-cycles, so
     #C4 = 1/2 · Σ_{u<w} C(codeg(u, w), 2).
 
 Pipeline (two exchanges):
-1. the triangle pipeline's exchange A (``triangles._adjacency``) gives
-   one row per wedge CENTER holding its whole sorted neighbourhood, so
-   the neighbour-pair emission kernel
-   (``cocitation._pairs_from_partition``) runs as a plain map over those
-   rows, exact and vectorized (one ``np.triu_indices`` gather per
-   distinct segment length);
-2. route each unordered pair to one partition by its pair hash and
-   reduce: per-partition ``np.unique`` counts give codeg, Σ C(c,2)
-   folds to ONE int64 per partition — the driver sums W partials.
+1. the triangle pipeline's exchange A (``triangles._adjacency``, an
+   object-ref exchange with no Ray Data shuffle) leaves one row per
+   wedge CENTER holding its whole sorted neighbourhood in the object
+   store; a Dataset over those reducer outputs runs the neighbour-pair
+   emission kernel (``cocitation._pairs_from_partition``) as a plain map
+   over the rows, exact and vectorized (one ``np.triu_indices`` gather
+   per distinct segment length);
+2. route each unordered pair to one partition by its pair hash
+   (``groupby``) and reduce: per-partition ``np.unique`` counts give
+   codeg, Σ C(c,2) folds to ONE int64 per partition — the driver sums
+   the partials.
 
 Cost is the unavoidable Σ_v C(deg v, 2) wedge emission (the butterfly
 bound); ``max_degree`` caps hub centers for an approximate count at
@@ -49,7 +51,7 @@ def rectangle_count(
         _, v, x = _flat(tbl)
         return emit(pa.table({"src": v, "dst": x}))
 
-    pairs = _adjacency(edges_ds, num_partitions).map_batches(
+    pairs = _adjacency(edges_ds, num_partitions).dataset().map_batches(
         center_pairs, batch_format="pyarrow"
     )
 

@@ -116,13 +116,14 @@ def shortest_path_tree(edges_ds, state_table, num_partitions: int = 32):
     pass over the edges with the (vid, dist) arrays broadcast
     (``ray.put`` once, two searchsorted lookups per batch) below
     ``BROADCAST_DIST_LIMIT`` vertices, else two co-partitioned hash
-    joins (``triangles._attach``); per-batch segment-min pre-combine,
+    joins (``functions.joins._attach``); per-batch segment-min pre-combine,
     one hash exchange, exact min per vertex. Source and unreachable
     vertices emit no row. Returns a Dataset (vid, parent)."""
     import ray
     import ray.data as rd
 
-    from signal_collect_ray.algorithms.triangles import _attach, _np
+    from signal_collect_ray.algorithms.triangles import _np
+    from signal_collect_ray.functions.joins import _attach
     from signal_collect_ray.util import part_of, segment_min
 
     vids = state_table.column("vid").to_numpy(zero_copy_only=False).astype(

@@ -1,4 +1,4 @@
-"""Triangle counting & clustering coefficient — two exchanges.
+"""Triangle counting & clustering coefficient — two object-ref exchanges.
 
 The reference computes the clustering coefficient by signaling whole
 neighbor sets along every edge and intersecting in collect
@@ -7,32 +7,38 @@ ClusteringCoefficient.scala:24-47``) — O(Σ deg²) traffic, not
 combiner-friendly. Per SURVEY §7.4.3 we replace it with the standard
 distributed degree-oriented wedge closure, built by ONE
 oriented-adjacency builder that every consumer here (and ktruss,
-cliques, rectangles) goes through:
+cliques, rectangles) goes through. Every exchange runs on the
+object-ref exchange ``Graph.build`` uses (``signal_collect_ray.
+exchange``): split tasks route rows to reducer part_of(key) % R, R =
+min(P, cluster CPUs), with no Ray Data shuffle.
 
-A. exchange keyed by hash(v): each batch drops self-loops, emits
-   (v, x) and (x, v) and lexsort-dedups; ``groupby(part_of(v))``
-   dedups exactly and emits one row per vertex, (v, nbrs) with nbrs
-   the sorted unique neighbour list. Degree is the list length, exact,
-   so there is no degree exchange; a row is never split across blocks,
-   so every later map sees all of N(v).
-B. degree broadcast: a remote map yields (v, deg) and only those
-   columns reach the calling process; the vid-sorted table is ``ray.put``
-   once.
-C. orient-and-ship, one map: N⁺(v) = {x ∈ N(v) : (deg v, v) <
-   (deg x, x)} — the classic O(E^1.5) bound on shipped wedges. Emit
-   the owner row (v, N⁺(v)) and, for each x ∈ N⁺(v), an edge row
-   (x, v, the w ∈ N⁺(v) after x in that order) routed to part_of(x).
-   Ids are ranks in the broadcast sorted-vid array: exact and < V.
-D. exchange ``groupby(ipart)``: wedge (v, x, w) closes iff x→w is
-   oriented, and x's owner row is in this group; the exact key
-   rank_x·V + rank_w and one searchsorted decide it. Each triangle
-   closes exactly one wedge, so partial rows are the answer: the caller
-   sums P counts for ``total_triangles``.
+A. exchange keyed by hash(v): a map over the edge blocks drops
+   self-loops, emits (v, x) and (x, v) and lexsort-dedups; each of the
+   R reducers dedups exactly and emits one row per vertex it owns,
+   (v, nbrs) with nbrs the sorted unique neighbour list, and its
+   (v, deg) rows as a second return. Degree is the list length, exact,
+   so there is no degree exchange; a row is never split, so every
+   later step sees all of N(v).
+B. degree broadcast: the driver fetches the A reducers' (vid, deg)
+   rows, sorts them by vid and ``ray.put``s the table once.
+C. orient-and-ship, one task per A reducer: N⁺(v) = {x ∈ N(v) :
+   (deg v, v) < (deg x, x)} — the classic O(E^1.5) bound on shipped
+   wedges. Emit the owner row (v, N⁺(v)) and, for each x ∈ N⁺(v), an
+   edge row (x, v, the w ∈ N⁺(v) after x in that order) routed to
+   part_of(x). Ids are ranks in the broadcast sorted-vid array: exact
+   and < V.
+D. R close reducers: wedge (v, x, w) closes iff x→w is oriented, and
+   x's owner row is in the same reducer; the exact key rank_x·V +
+   rank_w and one searchsorted decide it. The key is global and each
+   vertex has one owner row, so a reducer closes all its partitions in
+   one call. Each triangle closes exactly one wedge, so the R partial
+   results are the answer: the caller sums R counts for
+   ``total_triangles``.
 
 Above ``BROADCAST_DEGREE_LIMIT`` vertices, B is replaced by one
 degree-announce exchange: each vertex row sends (x, v, deg v) to
-part_of(x), whose group then knows deg x as its row count, orients
-N(x) and ships; D keys its wedges by ranks local to each group.
+part_of(x), whose reducer then knows deg x as its row count, orients
+N(x) and ships; D keys its wedges by ranks local to each reducer.
 
 Per-vertex counts equal the reference's Σ|N(v)∩N(u)|/2; the clustering
 coefficient is 2·tri(v)/(deg·(deg−1)) (ClusteringCoefficient.scala:31-38).
@@ -40,10 +46,20 @@ coefficient is 2·tri(v)/(deg·(deg−1)) (ClusteringCoefficient.scala:31-38).
 
 from __future__ import annotations
 
+from functools import partial
+from typing import NamedTuple
+
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from signal_collect_ray.exchange import (
+    block_refs,
+    concat,
+    num_reducers,
+    route,
+    submit,
+)
 from signal_collect_ray.util import (
     expand_ranges,
     isin_sorted,
@@ -52,105 +68,44 @@ from signal_collect_ray.util import (
     segment_sum,
 )
 
+_EMPTY = np.empty(0, np.int64)
+
 
 def _np(tbl: pa.Table, col: str) -> np.ndarray:
     return tbl.column(col).combine_chunks().to_numpy(zero_copy_only=False)
 
 
-def _sum_by_key(ds, key_col, val_col, num_partitions=64):
-    """hash-partitioned exact sum-by-key: per-batch partial segment_sum,
-    one groupby on the (low-cardinality int32) partition id, vectorized
-    final sum per group. Much cheaper than the native high-cardinality
-    ``groupby(key).aggregate(Sum)`` (which sorts every row by key)."""
-
-    def partial(tbl: pa.Table) -> pa.Table:
-        k, c = segment_sum(_np(tbl, key_col), _np(tbl, val_col))
-        return pa.table(
-            {
-                "gpart": pa.array(part_of(k, num_partitions), pa.int32()),
-                key_col: pa.array(k, pa.int64()),
-                val_col: pa.array(c, pa.int64()),
-            }
-        )
-
-    def final(tbl: pa.Table) -> pa.Table:
-        k, c = segment_sum(_np(tbl, key_col), _np(tbl, val_col))
-        return pa.table(
-            {key_col: pa.array(k, pa.int64()), val_col: pa.array(c, pa.int64())}
-        )
-
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("gpart")
-        .map_groups(final, batch_format="pyarrow")
+def _partial_sums(tbl: pa.Table, key_col: str, val_col: str, P: int) -> pa.Table:
+    k, c = segment_sum(_np(tbl, key_col), _np(tbl, val_col))
+    return pa.table(
+        {
+            "gpart": pa.array(part_of(k, P), pa.int32()),
+            key_col: pa.array(k, pa.int64()),
+            val_col: pa.array(c, pa.int64()),
+        }
     )
 
 
-def _attach(left_ds, left_key, right_ds, right_key, attach_cols, num_partitions=64):
-    """Co-partitioned hash join: gather ``attach_cols`` from right onto left.
+def _final_sums(key_col: str, val_col: str, *pieces) -> pa.Table:
+    tbl = concat(pieces)
+    k, c = (_EMPTY, _EMPTY) if tbl is None else segment_sum(
+        _np(tbl, key_col), _np(tbl, val_col)
+    )
+    return pa.table({key_col: pa.array(k, pa.int64()), val_col: pa.array(c, pa.int64())})
 
-    Tagged-union pattern (ray_guide 'Joins and lookups'): both sides get
-    ``jpart = hash(key) % P``; one groupby(jpart) co-locates them; inside
-    the group a vectorized searchsorted gather attaches the columns.
-    Right keys must be unique. Left rows with no match are dropped.
-    """
 
-    left_schema = left_ds.schema()
-    right_schema = right_ds.schema()
-    left_cols = list(left_schema.names)
-    attach_types = {
-        n: right_schema.types[right_schema.names.index(n)] for n in attach_cols
-    }
-    left_types = {n: left_schema.types[left_schema.names.index(n)] for n in left_cols}
+def _sum_by_key(refs, key_col, val_col, num_partitions=64):
+    """Exact sum-by-key over the tables behind ``refs``: a partial
+    segment_sum per table in its split task, then one exact sum per
+    reducer of part_of(key) % R. A Dataset over the R reducer outputs."""
+    import ray.data as rd
 
-    def tag(kind, key_col):
-        def fn(tbl: pa.Table) -> pa.Table:
-            k = _np(tbl, key_col)
-            n = len(tbl)
-            cols = {}
-            for c in left_cols:
-                cols[c] = (
-                    tbl.column(c) if c in tbl.column_names and kind == 1
-                    else pa.nulls(n, left_types[c])
-                )
-            for c in attach_cols:
-                cols[c] = (
-                    tbl.column(c) if kind == 0 else pa.nulls(n, attach_types[c])
-                )
-            cols["jkey"] = pa.array(k, pa.int64())
-            cols["jpart"] = pa.array(part_of(k, num_partitions), pa.int32())
-            cols["jkind"] = pa.array(np.full(n, kind, dtype=np.int8), pa.int8())
-            return pa.table(cols)
-
-        return fn
-
-    left_t = left_ds.map_batches(tag(1, left_key), batch_format="pyarrow")
-    right_t = right_ds.map_batches(tag(0, right_key), batch_format="pyarrow")
-
-    def join_group(tbl: pa.Table) -> pa.Table:
-        kind = _np(tbl, "jkind")
-        lmask = kind == 1
-        left = tbl.filter(pa.array(lmask))
-        right = tbl.filter(pa.array(~lmask))
-        rk = _np(right, "jkey")
-        order = np.argsort(rk, kind="stable")
-        rk = rk[order]
-        lk = _np(left, "jkey")
-        pos = np.searchsorted(rk, lk)
-        pos_c = np.minimum(pos, max(len(rk) - 1, 0))
-        ok = (len(rk) > 0) & (pos < len(rk))
-        ok = ok & (rk[pos_c] == lk) if len(rk) else np.zeros(len(lk), dtype=bool)
-        take_left = pa.array(np.flatnonzero(ok), pa.int64())
-        out = left.select(left_cols).take(take_left)
-        ridx = pa.array(order[pos_c[ok]], pa.int64())
-        for col in attach_cols:
-            out = out.append_column(col, right.column(col).combine_chunks().take(ridx))
-        return out
-
-    return (
-        left_t.union(right_t)
-        .groupby("jpart")
-        .map_groups(join_group, batch_format="pyarrow")
+    R = num_reducers(num_partitions)
+    pieces = route(
+        ([ref] for ref in refs), "gpart", R, _partial_sums, key_col, val_col, num_partitions
+    )
+    return rd.from_arrow_refs(
+        [submit(_final_sums, 1, key_col, val_col, *pieces[r])[0] for r in range(R)]
     )
 
 
@@ -187,57 +142,32 @@ def _flat(tbl: pa.Table, key: str = "v"):
     return row, _np(tbl, key)[row], vals
 
 
-def _adjacency(edges_ds, num_partitions: int = 64):
-    """Exchange A: (src, dst) edges → one materialised row per vertex
-    (v:int64, nbrs:list<int64>) of the undirected simple graph; nbrs is
-    sorted and unique, self-loops are dropped, and a vertex with only
-    self-loops has no row."""
-    P = num_partitions
+class _Adjacency(NamedTuple):
+    """Exchange A's output, one entry per reducer: refs of its (v, nbrs)
+    rows, of its (vid, deg) rows, and its vertex count."""
 
-    def emit(tbl: pa.Table) -> pa.Table:
-        s, d = _np(tbl, "src"), _np(tbl, "dst")
-        keep = s != d
-        s, d = s[keep], d[keep]
-        v, x = _dedup_pairs(np.concatenate([s, d]), np.concatenate([d, s]))
-        return pa.table(
-            {
-                "gpart": pa.array(part_of(v, P), pa.int32()),
-                "v": pa.array(v, pa.int64()),
-                "x": pa.array(x, pa.int64()),
-            }
-        )
+    rows: list
+    degs: list
+    sizes: list
 
-    def rows(tbl: pa.Table) -> pa.Table:
-        v, x = _dedup_pairs(_np(tbl, "v"), _np(tbl, "x"))
-        starts = segment_starts(v)
-        return pa.table(
-            {
-                "v": pa.array(v[starts], pa.int64()),
-                "nbrs": _list_column(np.diff(np.append(starts, len(v))), x),
-            }
-        )
+    def dataset(self):
+        """The (v, nbrs) rows as a Dataset over the reducer outputs."""
+        import ray.data as rd
 
-    return (
-        edges_ds.map_batches(emit, batch_format="pyarrow")
-        .groupby("gpart")
-        .map_groups(rows, batch_format="pyarrow")
-        .materialize()
-    )
+        return rd.from_arrow_refs(self.rows)
 
 
-def _unique_undirected(edges_ds, num_partitions: int = 64):
-    """(src,dst[,weight]) → unique (a,b) with a<b, self-loops dropped:
-    the exchange-A entries x ∈ N(v) with v < x."""
-
-    def lower(tbl: pa.Table) -> pa.Table:
-        _, v, x = _flat(tbl)
-        keep = v < x
-        return pa.table(
-            {"a": pa.array(v[keep], pa.int64()), "b": pa.array(x[keep], pa.int64())}
-        )
-
-    return _adjacency(edges_ds, num_partitions).map_batches(
-        lower, batch_format="pyarrow"
+def _emit(tbl: pa.Table, P: int) -> pa.Table:
+    s, d = _np(tbl, "src"), _np(tbl, "dst")
+    keep = s != d
+    s, d = s[keep], d[keep]
+    v, x = _dedup_pairs(np.concatenate([s, d]), np.concatenate([d, s]))
+    return pa.table(
+        {
+            "gpart": pa.array(part_of(v, P), pa.int32()),
+            "v": pa.array(v, pa.int64()),
+            "x": pa.array(x, pa.int64()),
+        }
     )
 
 
@@ -250,15 +180,57 @@ def _degree_rows(tbl: pa.Table) -> pa.Table:
     )
 
 
-def _broadcast_degrees(adj):
+def _rows_task(*pieces) -> list:
+    """Exchange A's reducer: (v, x) pieces → the (v, nbrs) row of every
+    vertex it owns, its (vid, deg) rows, and their count."""
+    tbl = concat(pieces)
+    v, x = (_EMPTY, _EMPTY) if tbl is None else _dedup_pairs(_np(tbl, "v"), _np(tbl, "x"))
+    starts = segment_starts(v)
+    adj = pa.table(
+        {
+            "v": pa.array(v[starts], pa.int64()),
+            "nbrs": _list_column(np.diff(np.append(starts, len(v))), x),
+        }
+    )
+    return [adj, _degree_rows(adj), len(starts)]
+
+
+def _adjacency(edges_ds, num_partitions: int = 64) -> _Adjacency:
+    """Exchange A: (src, dst) edges → one row per vertex (v:int64,
+    nbrs:list<int64>) of the undirected simple graph; nbrs is sorted and
+    unique, self-loops are dropped, and a vertex with only self-loops
+    has no row. Vertex v belongs to reducer part_of(v, P) % R."""
+    R = num_reducers(num_partitions)
+    emitted = edges_ds.map_batches(
+        _emit, fn_args=(num_partitions,), batch_format="pyarrow"
+    )
+    pieces = route(([ref] for ref in block_refs(emitted)), "gpart", R)
+    outs = [submit(_rows_task, 3, *pieces[r]) for r in range(R)]
+    return _Adjacency(*([o[i] for o in outs] for i in range(3)))
+
+
+def _lower(tbl: pa.Table) -> pa.Table:
+    _, v, x = _flat(tbl)
+    keep = v < x
+    return pa.table(
+        {"a": pa.array(v[keep], pa.int64()), "b": pa.array(x[keep], pa.int64())}
+    )
+
+
+def _unique_undirected(edges_ds, num_partitions: int = 64):
+    """(src,dst[,weight]) → unique (a,b) with a<b, self-loops dropped:
+    the exchange-A entries x ∈ N(v) with v < x."""
+    return _adjacency(edges_ds, num_partitions).dataset().map_batches(
+        _lower, batch_format="pyarrow"
+    )
+
+
+def _broadcast_degrees(adj: _Adjacency):
     """Step B: ``ray.put`` of the vid-sorted (vid, deg) arrays. Only
-    (v, deg) leaves the workers; the adjacency lists never do."""
+    (v, deg) reaches the driver; the adjacency lists never do."""
     import ray
 
-    degs = adj.map_batches(_degree_rows, batch_format="pyarrow")
-    dt = pa.concat_tables(
-        list(degs.iter_batches(batch_format="pyarrow", batch_size=None))
-    ).sort_by("vid")
+    dt = pa.concat_tables(ray.get(adj.degs)).sort_by("vid")
     return ray.put({"vid": _np(dt, "vid"), "deg": _np(dt, "deg")})
 
 
@@ -309,20 +281,10 @@ def _ship(v: np.ndarray, counts: np.ndarray, w: np.ndarray, wdeg, P: int):
     )
 
 
-class _OrientShip:
+def _orient_ship(tbl: pa.Table, d: dict, P: int) -> pa.Table:
     """Step C on the broadcast degrees: exchange-A rows → rank-space
     owner and edge rows."""
-
-    __name__ = "_OrientShip"
-
-    def __init__(self, deg_ref, P: int):
-        self.deg_ref, self.P = deg_ref, P
-
-    def __call__(self, tbl: pa.Table) -> pa.Table:
-        import ray
-
-        d = ray.get(self.deg_ref)
-        return _ship(*_orient(tbl, d["vid"], d["deg"]), self.P)
+    return _ship(*_orient(tbl, d["vid"], d["deg"]), P)
 
 
 def _announce(P: int):
@@ -375,82 +337,67 @@ def _closed_wedges(tbl: pa.Table, n=None):
     return _np(tbl, "other")[row[tri]], v[tri], w[tri]
 
 
-class _Close:
-    """Step D: one ipart group → ``reduce(u, v, w)`` of the triangles
-    it closes, corners as vids. With the broadcast ``deg_ref`` the group
-    holds global ranks; without it, vids."""
-
-    __name__ = "_Close"
-
-    def __init__(self, reduce, deg_ref=None):
-        self.reduce, self.deg_ref = reduce, deg_ref
-
-    def __call__(self, tbl: pa.Table) -> pa.Table:
-        if self.deg_ref is None:
-            return self.reduce(*_closed_wedges(tbl))
-        import ray
-
-        vids = ray.get(self.deg_ref)["vid"]
-        return self.reduce(*(vids[c] for c in _closed_wedges(tbl, len(vids))))
+def _close_task(reduce, d, *pieces) -> pa.Table:
+    """Step D: one reducer's shipped rows → ``reduce(u, v, w)`` of the
+    triangles they close, corners as vids. With the broadcast degrees
+    ``d`` the rows hold global ranks; without them, vids."""
+    tbl = concat(pieces)
+    if tbl is None:
+        return reduce(_EMPTY, _EMPTY, _EMPTY)
+    if d is None:
+        return reduce(*_closed_wedges(tbl))
+    vids = d["vid"]
+    return reduce(*(vids[c] for c in _closed_wedges(tbl, len(vids))))
 
 
 # Above this many vertices the degree table is announced through one
 # exchange instead of broadcast. 20M vertices ≈ 320 MB of (vid, deg)
 # int64 pairs in the object store — read zero-copy by every orient task,
-# shipped once per node, not per batch.
+# shipped once per node, not per task.
 BROADCAST_DEGREE_LIMIT = 20_000_000
 
 
-def _triangle_partials(adj, num_partitions: int, reduce):
-    """Steps B–D over exchange-A rows: a Dataset of ``reduce(u, v, w)``
-    tables, one per ipart group; together they cover every triangle once.
-    ``reduce`` must accept empty arrays."""
-    import ray.data as rd
+def _triangle_partials(adj: _Adjacency, num_partitions: int, reduce) -> list:
+    """Steps B–D over exchange-A rows: refs of R ``reduce(u, v, w)``
+    tables, one per close reducer; together they cover every triangle
+    once. ``reduce`` must accept empty arrays."""
+    import ray
 
-    P = num_partitions
-    n = adj.count()
-    if n == 0:
-        none = np.empty(0, np.int64)
-        return rd.from_arrow(reduce(none, none, none))
-    if n <= BROADCAST_DEGREE_LIMIT:
+    P, R = num_partitions, len(adj.rows)
+    rows = [[ref] for ref in adj.rows]
+    if sum(ray.get(adj.sizes)) <= BROADCAST_DEGREE_LIMIT:
         deg_ref = _broadcast_degrees(adj)
-        shipped = adj.map_batches(_OrientShip(deg_ref, P), batch_format="pyarrow")
-        close = _Close(reduce, deg_ref)
+        shipped = route(rows, "ipart", R, _orient_ship, deg_ref, P)
     else:
+        deg_ref = None
         send, orient_ship = _announce(P)
-        shipped = (
-            adj.map_batches(send, batch_format="pyarrow")
-            .groupby("apart")
-            .map_groups(orient_ship, batch_format="pyarrow")
-        )
-        close = _Close(reduce)
-    return shipped.groupby("ipart").map_groups(close, batch_format="pyarrow")
+        shipped = route(route(rows, "apart", R, send), "ipart", R, orient_ship)
+    return [submit(_close_task, 1, reduce, deg_ref, *shipped[r])[0] for r in range(R)]
+
+
+def _orient_rows(tbl: pa.Table, d: dict) -> pa.Table:
+    rv, counts, rx, _ = _orient(tbl, d["vid"], d["deg"])
+    return pa.table(
+        {
+            "src": pa.array(d["vid"][np.repeat(rv, counts)], pa.int64()),
+            "dst": pa.array(d["vid"][rx], pa.int64()),
+        }
+    )
 
 
 def _oriented_edges(edges_ds, num_partitions=64):
-    """The degree-oriented DAG as (spart, src, dst) edge rows, and the
-    (vid, deg) rows — exchange A plus the broadcast orientation. Its
-    consumer (cliques' bitset kernels) bounds V far below
+    """The degree-oriented DAG as (src, dst) edge rows: exchange A plus
+    the broadcast orientation, one task per A reducer. Its consumer
+    (cliques' bitset kernels) bounds V far below
     ``BROADCAST_DEGREE_LIMIT``, so there is no announce path."""
+    import ray.data as rd
+
+    from signal_collect_ray.engine import remote
+
     adj = _adjacency(edges_ds, num_partitions)
-    degs = adj.map_batches(_degree_rows, batch_format="pyarrow")
-    deg_ref = _broadcast_degrees(adj) if adj.count() else None
-
-    def orient(tbl: pa.Table) -> pa.Table:
-        import ray
-
-        d = ray.get(deg_ref)
-        rv, counts, rx, _ = _orient(tbl, d["vid"], d["deg"])
-        src = d["vid"][np.repeat(rv, counts)]
-        return pa.table(
-            {
-                "spart": pa.array(part_of(src, num_partitions), pa.int32()),
-                "src": pa.array(src, pa.int64()),
-                "dst": pa.array(d["vid"][rx], pa.int64()),
-            }
-        )
-
-    return adj.map_batches(orient, batch_format="pyarrow"), degs
+    deg_ref = _broadcast_degrees(adj)
+    orient = remote(_orient_rows)
+    return rd.from_arrow_refs([orient.remote(ref, deg_ref) for ref in adj.rows])
 
 
 def _count_rows(u, v, w) -> pa.Table:
@@ -469,6 +416,57 @@ def _triangle_rows(u, v, w) -> pa.Table:
     return pa.table({c: pa.array(m[:, i], pa.int64()) for i, c in enumerate("abc")})
 
 
+def _edge_triangles(P: int, u, v, w) -> pa.Table:
+    """Closed wedges of one reducer → per-edge partial support, keyed by
+    the canonical (a < b) pair and routed by its hash."""
+    a = np.concatenate([np.minimum(u, v), np.minimum(u, w), np.minimum(v, w)])
+    b = np.concatenate([np.maximum(u, v), np.maximum(u, w), np.maximum(v, w)])
+    a, b, t = _pair_sums(a, b, np.ones(len(a), np.int64))
+    return pa.table(
+        {
+            "epart": pa.array(part_of(a * np.int64(1_000_003) + b, P), pa.int32()),
+            "a": pa.array(a, pa.int64()),
+            "b": pa.array(b, pa.int64()),
+            "supp": pa.array(t, pa.int64()),
+        }
+    )
+
+
+def _support_task(fold, *pieces) -> pa.Table:
+    tbl = concat(pieces)
+    if tbl is None:
+        return fold(_EMPTY, _EMPTY, _EMPTY)
+    return fold(*_pair_sums(_np(tbl, "a"), _np(tbl, "b"), _np(tbl, "supp")))
+
+
+def _edge_supports(edges_ds, num_partitions: int, fold) -> list:
+    """Per-edge triangle support, exact: the closed wedges' edges
+    pre-combined per close reducer, one exchange on the edge, and
+    ``fold(a, b, supp)`` over each reducer's edges (a < b, supp > 0).
+    Refs of the R fold tables."""
+    adj = _adjacency(edges_ds, num_partitions)
+    R = len(adj.rows)
+    partials = _triangle_partials(adj, num_partitions, partial(_edge_triangles, num_partitions))
+    pieces = route(([ref] for ref in partials), "epart", R)
+    return [submit(_support_task, 1, fold, *pieces[r])[0] for r in range(R)]
+
+
+def _coefficients(degs: pa.Table, *pieces) -> pa.Table:
+    """One reducer's (vid, deg) rows and summed (vid, triangles) pieces
+    → (vid, coefficient) for every vertex it owns."""
+    vid, deg = _np(degs, "vid"), _np(degs, "deg").astype(np.float64)
+    tri = np.zeros(len(vid))
+    tbl = concat(pieces)
+    if tbl is not None:
+        k, c = segment_sum(_np(tbl, "vid"), _np(tbl, "triangles"))
+        tri[np.searchsorted(vid, k)] = c
+    denom = deg * (deg - 1.0)
+    coeff = np.where(denom > 0, 2.0 * tri / np.maximum(denom, 1.0), 0.0)
+    return pa.table(
+        {"vid": pa.array(vid, pa.int64()), "coefficient": pa.array(coeff, pa.float64())}
+    )
+
+
 def triangle_counts(edges_ds, num_partitions: int = 64):
     """Per-vertex triangle counts: Dataset (vid:int64, triangles:int64).
 
@@ -482,14 +480,13 @@ def triangle_counts(edges_ds, num_partitions: int = 64):
 
 def total_triangles(edges_ds, num_partitions: int = 64) -> int:
     """Total distinct triangles in the (undirected-ized) graph: the
-    caller sums one closed-wedge count per ipart group."""
+    caller sums one closed-wedge count per close reducer."""
+    import ray
+
     partials = _triangle_partials(
         _adjacency(edges_ds, num_partitions), num_partitions, _count_rows
     )
-    return sum(
-        int(_np(b, "t").sum())
-        for b in partials.iter_batches(batch_format="pyarrow", batch_size=None)
-    )
+    return sum(int(_np(t, "t").sum()) for t in ray.get(partials))
 
 
 def clustering_coefficient(edges_ds, num_partitions: int = 64):
@@ -497,52 +494,19 @@ def clustering_coefficient(edges_ds, num_partitions: int = 64):
     Σ|N(v)∩N(u)| / (deg·(deg−1)) = 2·tri / (deg·(deg−1))).
 
     Returns Dataset (vid:int64, coefficient:float64) over ALL vertices
-    (0.0 when deg < 2 or no triangles). One builder call feeds both the
-    degree and the triangle rows; one exchange sums them per vertex.
+    (0.0 when deg < 2 or no triangles). The exchange-A reducers keep
+    their (vid, deg) rows; the per-vertex triangle sums route to the
+    reducer that owns the vertex, which finishes them in one task.
     """
+    import ray.data as rd
+
     P = num_partitions
     adj = _adjacency(edges_ds, P)
-
-    def keyed(tbl: pa.Table, deg, tri) -> pa.Table:
-        return pa.table(
-            {
-                "gpart": pa.array(part_of(_np(tbl, "vid"), P), pa.int32()),
-                "vid": tbl.column("vid"),
-                "deg": deg,
-                "triangles": tri,
-            }
-        )
-
-    def deg_rows(tbl: pa.Table) -> pa.Table:
-        d = _degree_rows(tbl)
-        return keyed(d, d.column("deg"), pa.array(np.zeros(len(d), np.int64)))
-
-    def tri_rows(tbl: pa.Table) -> pa.Table:
-        zeros = pa.array(np.zeros(len(tbl), np.int64))
-        return keyed(tbl, zeros, tbl.column("triangles"))
-
-    def finish(tbl: pa.Table) -> pa.Table:
-        vid = _np(tbl, "vid")
-        order = np.argsort(vid, kind="stable")
-        vid = vid[order]
-        starts = segment_starts(vid)
-        deg = np.add.reduceat(_np(tbl, "deg")[order], starts).astype(np.float64)
-        tri = np.add.reduceat(_np(tbl, "triangles")[order], starts).astype(np.float64)
-        denom = deg * (deg - 1.0)
-        coeff = np.where(denom > 0, 2.0 * tri / np.maximum(denom, 1.0), 0.0)
-        return pa.table(
-            {
-                "vid": pa.array(vid[starts], pa.int64()),
-                "coefficient": pa.array(coeff, pa.float64()),
-            }
-        )
-
-    tris = _triangle_partials(adj, P, _vertex_rows)
-    return (
-        adj.map_batches(deg_rows, batch_format="pyarrow")
-        .union(tris.map_batches(tri_rows, batch_format="pyarrow"))
-        .groupby("gpart")
-        .map_groups(finish, batch_format="pyarrow")
+    R = len(adj.rows)
+    partials = _triangle_partials(adj, P, _vertex_rows)
+    tris = route(([ref] for ref in partials), "gpart", R, _partial_sums, "vid", "triangles", P)
+    return rd.from_arrow_refs(
+        [submit(_coefficients, 1, adj.degs[r], *tris[r])[0] for r in range(R)]
     )
 
 
@@ -551,10 +515,16 @@ def triangle_list(edges_ds, num_partitions: int = 64):
     — the same two-exchange wedge closure as ``total_triangles`` (each
     triangle closes exactly ONE wedge in the orientation DAG, so rows are
     exactly the triangles, no dedup needed). Output size is the triangle
-    count itself — stream it to a sink, don't take_all at web scale."""
-    return _triangle_partials(
-        _adjacency(edges_ds, num_partitions), num_partitions, _triangle_rows
+    count itself, held in the object store as R reducer outputs."""
+    import ray.data as rd
+
+    return rd.from_arrow_refs(
+        _triangle_partials(_adjacency(edges_ds, num_partitions), num_partitions, _triangle_rows)
     )
+
+
+def _diamond_rows(a, b, supp) -> pa.Table:
+    return pa.table({"d": pa.array([int((supp * (supp - 1) // 2).sum())], pa.int64())})
 
 
 def diamond_count(edges_ds, num_partitions: int = 64) -> int:
@@ -562,36 +532,14 @@ def diamond_count(edges_ds, num_partitions: int = 64) -> int:
     edge, counted per shared edge): Σ_e C(t_e, 2) where t_e is the
     number of triangles containing undirected edge e.
 
-    Built on the same two-exchange wedge closure as ``triangle_list``:
-    each ipart group explodes its triangles into their 3 canonical
-    (a < b) edges, pre-combined per group, then one hash exchange on the
-    edge key and a per-group C(t,2) fold; the caller sums the P folds.
-    The exchange is O(#triangle edges), never all-pairs."""
-    P = num_partitions
+    Built on the per-edge support of the wedge closure: each close
+    reducer explodes its triangles into their 3 canonical (a < b) edges,
+    pre-combined per reducer, then one exchange on the edge and a
+    per-reducer C(t,2) fold; the caller sums the R folds. The exchange
+    is O(#triangle edges), never all-pairs."""
+    import ray
 
-    def edge_rows(u, v, w) -> pa.Table:
-        lo = np.concatenate([np.minimum(u, v), np.minimum(u, w), np.minimum(v, w)])
-        hi = np.concatenate([np.maximum(u, v), np.maximum(u, w), np.maximum(v, w)])
-        lo, hi, t = _pair_sums(lo, hi, np.ones(len(lo), np.int64))
-        return pa.table(
-            {
-                "epart": pa.array(part_of(lo * np.int64(1_000_003) + hi, P), pa.int32()),
-                "lo": pa.array(lo, pa.int64()),
-                "hi": pa.array(hi, pa.int64()),
-                "t": pa.array(t, pa.int64()),
-            }
-        )
-
-    def fold(tbl: pa.Table) -> pa.Table:
-        _, _, t = _pair_sums(_np(tbl, "lo"), _np(tbl, "hi"), _np(tbl, "t"))
-        return pa.table({"d": pa.array([int((t * (t - 1) // 2).sum())], pa.int64())})
-
-    partials = (
-        _triangle_partials(_adjacency(edges_ds, P), P, edge_rows)
-        .groupby("epart")
-        .map_groups(fold, batch_format="pyarrow")
-    )
     return sum(
-        int(_np(b, "d").sum())
-        for b in partials.iter_batches(batch_format="pyarrow", batch_size=None)
+        int(_np(t, "d").sum())
+        for t in ray.get(_edge_supports(edges_ds, num_partitions, _diamond_rows))
     )

@@ -390,7 +390,7 @@ def jaccard_verify(
             return pairs_small.map_batches(verify, batch_format="pyarrow")
 
     # join fallback: pair rows routed with both texts via attach passes
-    from signal_collect_ray.algorithms.triangles import _attach
+    from signal_collect_ray.functions.joins import _attach
 
     a_side = _attach(
         pairs_small, "id_a",

@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 import pyarrow as pa
 
-from signal_collect_ray.util import pin_schema
+from signal_collect_ray.util import part_of, pin_schema
 
 _SIDE = "__asof_side"
 
@@ -506,3 +506,75 @@ def interval_join(
         batch_format="pyarrow",
     )
     return merged
+
+
+def _np(tbl: pa.Table, col: str) -> np.ndarray:
+    return tbl.column(col).combine_chunks().to_numpy(zero_copy_only=False)
+
+
+def _attach(left_ds, left_key, right_ds, right_key, attach_cols, num_partitions=64):
+    """Co-partitioned hash join: gather ``attach_cols`` from right onto left.
+
+    Tagged-union pattern (ray_guide 'Joins and lookups'): both sides get
+    ``jpart = hash(key) % P``; one groupby(jpart) co-locates them; inside
+    the group a vectorized searchsorted gather attaches the columns.
+    Right keys must be unique. Left rows with no match are dropped.
+    """
+
+    left_schema = left_ds.schema()
+    right_schema = right_ds.schema()
+    left_cols = list(left_schema.names)
+    attach_types = {
+        n: right_schema.types[right_schema.names.index(n)] for n in attach_cols
+    }
+    left_types = {n: left_schema.types[left_schema.names.index(n)] for n in left_cols}
+
+    def tag(kind, key_col):
+        def fn(tbl: pa.Table) -> pa.Table:
+            k = _np(tbl, key_col)
+            n = len(tbl)
+            cols = {}
+            for c in left_cols:
+                cols[c] = (
+                    tbl.column(c) if c in tbl.column_names and kind == 1
+                    else pa.nulls(n, left_types[c])
+                )
+            for c in attach_cols:
+                cols[c] = (
+                    tbl.column(c) if kind == 0 else pa.nulls(n, attach_types[c])
+                )
+            cols["jkey"] = pa.array(k, pa.int64())
+            cols["jpart"] = pa.array(part_of(k, num_partitions), pa.int32())
+            cols["jkind"] = pa.array(np.full(n, kind, dtype=np.int8), pa.int8())
+            return pa.table(cols)
+
+        return fn
+
+    left_t = left_ds.map_batches(tag(1, left_key), batch_format="pyarrow")
+    right_t = right_ds.map_batches(tag(0, right_key), batch_format="pyarrow")
+
+    def join_group(tbl: pa.Table) -> pa.Table:
+        kind = _np(tbl, "jkind")
+        lmask = kind == 1
+        left = tbl.filter(pa.array(lmask))
+        right = tbl.filter(pa.array(~lmask))
+        rk = _np(right, "jkey")
+        order = np.argsort(rk, kind="stable")
+        rk = rk[order]
+        lk = _np(left, "jkey")
+        pos = np.searchsorted(rk, lk)
+        pos_c = np.minimum(pos, max(len(rk) - 1, 0))
+        ok = (len(rk) > 0) & (pos < len(rk))
+        ok = ok & (rk[pos_c] == lk) if len(rk) else np.zeros(len(lk), dtype=bool)
+        take_left = pa.array(np.flatnonzero(ok), pa.int64())
+        out = left.select(left_cols).take(take_left)
+        ridx = pa.array(order[pos_c[ok]], pa.int64())
+        for col in attach_cols:
+            out = out.append_column(col, right.column(col).combine_chunks().take(ridx))
+        return out
+
+    return (
+        left_t.union(right_t)
+        .groupby("jpart")
+        .map_groups(join_group, batch_format="pyarrow")
+    )

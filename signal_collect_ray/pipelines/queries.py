@@ -7961,18 +7961,16 @@ def q_edge_reciprocity(sf_dir: str):
         from signal_collect_ray.util import part_of
 
         def fn(tbl: pa.Table) -> pa.Table:
-            from signal_collect_ray.algorithms.ktruss import _ID_BITS
-
             s = tbl.column("src").to_numpy(zero_copy_only=False)
             d = tbl.column("dst").to_numpy(zero_copy_only=False)
             a, b = (d, s) if reverse else (s, d)
-            # directed pair key — same packing contract (and id-range
-            # guard) as ktruss._pack, but WITHOUT canonicalization:
-            # (a,b) and (b,a) must stay distinct for reciprocity
+            # directed pair key packed into 32+32 bits, WITHOUT
+            # canonicalization: (a,b) and (b,a) must stay distinct for
+            # reciprocity
             hi = np.maximum(a, b) if len(a) else a
-            if len(hi) and hi.max() >= (1 << (_ID_BITS - 1)):
+            if len(hi) and hi.max() >= (1 << 31):
                 raise ValueError("edge_reciprocity requires ids < 2^31")
-            key = (a.astype(np.int64) << _ID_BITS) | b.astype(np.int64)
+            key = (a.astype(np.int64) << 32) | b.astype(np.int64)
             return pa.table(
                 {
                     "gpart": pa.array(part_of(key, 32), pa.int32()),

@@ -106,9 +106,9 @@ def _reference(src, dst, weight, P, pf=part_of, dedup=False, exclude=None, kind=
     meta = {
         "num_partitions": P,
         "num_vertices": int(sum(sizes.values())),
-        # out-degrees of the vertex table: edges out of an excluded
-        # vertex stay in the CSR but are not counted
-        "num_edges": int(outd.sum()),
+        # every edge row in the shards, edges out of an excluded
+        # vertex included
+        "num_edges": len(src),
         "parts_with_vertices": vertex_parts,
         "part_sizes": {str(p): n for p, n in sorted(sizes.items())},
         "mapper": "default" if pf is part_of else pf.mapper_name,

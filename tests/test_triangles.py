@@ -8,10 +8,12 @@ import pyarrow as pa
 
 from signal_collect_ray.algorithms import (
     clustering_coefficient,
+    edge_support,
     total_triangles,
     triangle_counts,
     triangle_list,
 )
+from signal_collect_ray.algorithms.triangles import diamond_count
 
 from tests import fixtures as fx
 
@@ -286,25 +288,52 @@ def _ds(src, dst, blocks=3):
     return rd.from_arrow(pa.table({"src": src, "dst": dst})).repartition(blocks)
 
 
-def _results(src, dst, P):
-    from signal_collect_ray.algorithms.ktruss import edge_support
+def _everything(edges, P):
+    """Every triangle consumer on one edge Dataset, as plain values."""
+    return {
+        "total": total_triangles(edges, P),
+        "counts": {r["vid"]: r["triangles"] for r in triangle_counts(edges, P).take_all()},
+        "coeff": {
+            r["vid"]: r["coefficient"] for r in clustering_coefficient(edges, P).take_all()
+        },
+        "rows": sorted((r["a"], r["b"], r["c"]) for r in triangle_list(edges, P).take_all()),
+        "supp": {(r["a"], r["b"]): r["supp"] for r in edge_support(edges, P).take_all()},
+        "diamonds": diamond_count(edges, P),
+    }
 
-    edges = _ds(src, dst)
-    counts = {r["vid"]: r["triangles"] for r in triangle_counts(edges, P).take_all()}
-    coeff = {r["vid"]: r["coefficient"] for r in clustering_coefficient(edges, P).take_all()}
-    rows = sorted(
-        (r["a"], r["b"], r["c"]) for r in triangle_list(edges, P).take_all()
-    )
-    supp = None
-    if src.max() < 2**31:
-        supp = {
-            (r["key"] >> 32, r["key"] & (2**32 - 1)): r["supp"]
-            for r in edge_support(edges, P).take_all()
-        }
-    else:
-        with pytest.raises(ValueError):
-            edge_support(edges, P).take_all()
-    return total_triangles(edges, P), counts, coeff, rows, supp
+
+def _expected(src, dst):
+    vid, deg, tri, rows, supp = _brute(src, dst)
+    return {
+        "total": len(rows),
+        "counts": {int(v): int(t) for v, t in zip(vid, tri) if t},
+        "coeff": {
+            int(v): (2.0 * t / (d * (d - 1)) if d > 1 else 0.0)
+            for v, d, t in zip(vid, deg, tri)
+        },
+        "rows": rows,
+        "supp": {e: c for e, c in supp.items() if c},
+        "diamonds": sum(c * (c - 1) // 2 for c in supp.values()),
+    }
+
+
+def _assert_matches(got, want):
+    assert got.keys() == want.keys()
+    for k in want:
+        if k == "coeff":
+            assert got[k].keys() == want[k].keys()
+            for v, c in want[k].items():
+                assert got[k][v] == pytest.approx(c, abs=1e-12)
+        else:
+            assert got[k] == want[k], k
+
+
+def _blocks(src, dst, n):
+    """``n`` blocks of the edges with two empty blocks among them."""
+    cuts = np.linspace(0, len(src), n + 1).astype(int)
+    tbls = [pa.table({"src": src[a:b], "dst": dst[a:b]}) for a, b in zip(cuts[:-1], cuts[1:])]
+    empty = pa.table({"src": pa.array([], pa.int64()), "dst": pa.array([], pa.int64())})
+    return rd.from_arrow(tbls[:2] + [empty] + tbls[2:] + [empty])
 
 
 @pytest.mark.parametrize("P", [1, 3, 8])
@@ -314,24 +343,13 @@ def test_hostile_graphs_vs_brute_force(kind, P, monkeypatch):
 
     src, dst = _hostile(kind)
     for ids in (src, dst), (_BIG - 1 - 7919 * src, _BIG - 1 - 7919 * dst):
-        vid, deg, tri, rows, supp = _brute(*ids)
-        expect_coeff = {
-            int(v): (2.0 * t / (d * (d - 1)) if d > 1 else 0.0)
-            for v, d, t in zip(vid, deg, tri)
-        }
-        got = _results(*ids, P)
-        total, counts, coeff, got_rows, got_supp = got
-        assert total == len(rows)
-        assert counts == {int(v): int(t) for v, t in zip(vid, tri) if t}
-        assert coeff.keys() == expect_coeff.keys()
-        for v, c in expect_coeff.items():
-            assert coeff[v] == pytest.approx(c, abs=1e-12)
-        assert got_rows == rows
-        if got_supp is not None:
-            assert got_supp == {e: c for e, c in supp.items() if c}
+        # 7 blocks, two of them empty: more blocks than reducers at any P
+        edges = _blocks(*ids, 5)
+        got = _everything(edges, P)
+        _assert_matches(got, _expected(*ids))
         # the degree-announce exchange (no broadcast) gives the same answers
         monkeypatch.setattr(triangles, "BROADCAST_DEGREE_LIMIT", 0)
-        assert _results(*ids, P) == got
+        assert _everything(edges, P) == got
         monkeypatch.undo()
 
 
@@ -340,6 +358,47 @@ def test_self_loops_only():
     assert total_triangles(_ds(src, dst)) == 0
     assert triangle_counts(_ds(src, dst)).take_all() == []
     assert clustering_coefficient(_ds(src, dst)).take_all() == []
+
+
+# -- the object-ref exchange: no Ray Data shuffle, any block layout --------
+
+
+@pytest.mark.parametrize("P", [1, 8])
+def test_no_ray_data_groupby(P, monkeypatch):
+    from signal_collect_ray.algorithms.triangles import _adjacency
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the triangle pipeline ran a Ray Data groupby")
+
+    monkeypatch.setattr(rd.Dataset, "groupby", refuse)
+    src, dst = _hostile("hub")
+    edges = _blocks(src, dst, 12)
+    # P = 8 in the 4-CPU test session: R = 4 reducers, fewer than blocks
+    assert len(_adjacency(edges, P).rows) == min(P, 4)
+    _assert_matches(_everything(edges, P), _expected(src, dst))
+
+
+@pytest.mark.parametrize("P", [1, 8])
+def test_self_loop_and_empty_edge_sets(P):
+    loops = np.array([5, 5, 9, 2**62], np.int64)
+    empty = np.array([], np.int64)
+    none = {"total": 0, "counts": {}, "coeff": {}, "rows": [], "supp": {}, "diamonds": 0}
+    for src in loops, empty:
+        edges = _ds(src, src.copy(), blocks=2)
+        assert _everything(edges, P) == none
+        # empty outputs are typed tables: the Datasets keep their schema
+        assert triangle_counts(edges, P).schema().names == ["vid", "triangles"]
+        assert clustering_coefficient(edges, P).schema().names == ["vid", "coefficient"]
+        assert triangle_list(edges, P).schema().names == ["a", "b", "c"]
+        assert edge_support(edges, P).schema().names == ["a", "b", "supp"]
+
+
+def test_more_reducers_than_vertices():
+    # one triangle over 3 vertices, P = 8: most reducers get no rows
+    src, dst = np.array([10, 11, 12], np.int64), np.array([11, 12, 10], np.int64)
+    want = _expected(src, dst)
+    assert want["total"] == 1
+    _assert_matches(_everything(_ds(src, dst), 8), want)
 
 
 # -- the wedge kernel alone: numpy only, no Ray calls ----------------------
