@@ -42,6 +42,8 @@ class EngineConfig:
     # supersteps. Either way the run ends at the first converged round:
     # the rounds submitted past it are dropped. Checkpoint /
     # global-termination cadences force syncs at their own multiples.
+    # No effect at W = 1, where one round task runs every superstep up
+    # to the next sync point (engine._run_segment).
     convergence_check_interval: int = 1
 
     # Resident-executor checkpoint cadence: every superstep by default

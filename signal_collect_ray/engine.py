@@ -38,7 +38,7 @@ import os
 import shutil
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, NamedTuple, Optional
 
 import numpy as np
 import pyarrow as pa
@@ -71,7 +71,8 @@ def vertex_files(graph) -> Dict[int, str]:
     }
 
 
-def _round_task(wid, parts, shared, global_value, state, modes, out_dir, in_memory, *blocks):
+def _round_task(wid, parts, shared, global_value, state, modes, out_dir, in_memory,
+                segment, *blocks):
     """One worker's share of a superstep round, as a stateless task on a
     plain ``_Worker``. ``state`` is the worker's state before the round:
     a step dir, the vertex files at init (``{p: path}``), or its shards
@@ -86,7 +87,14 @@ def _round_task(wid, parts, shared, global_value, state, modes, out_dir, in_memo
     when ``in_memory`` — None for a signal-only round over shards, which
     leaves them as they were, so the caller keeps its refs and the state
     is not copied into the object store again. Only a round on disk
-    skips dormant partitions, since its checkpoint links their shards."""
+    skips dormant partitions, since its checkpoint links their shards.
+
+    ``segment`` (a :class:`_Segment`, resident runs only) makes the
+    round run supersteps ``first..end`` back to back in this process
+    (see :func:`_run_segment`); its metrics are then one row list per
+    step it ran. With one worker its own outbox is its whole next
+    inbox, so a segment needs no exchange; with more, ``end`` is
+    ``first``."""
     from signal_collect_ray.engine_resident import _Worker
 
     n = len(parts)
@@ -103,7 +111,9 @@ def _round_task(wid, parts, shared, global_value, state, modes, out_dir, in_memo
     else:
         worker.shards, given = state, True
     mode_collect, mode_signal = modes
-    if inbox:
+    if segment is not None:
+        outbox, rows = _run_segment(worker, inbox, mode_collect, mode_signal, segment)
+    elif inbox:
         outbox, rows = worker.collect_and_signal(
             inbox, mode_collect, mode_signal, skip_dormant=not in_memory
         )
@@ -114,6 +124,50 @@ def _round_task(wid, parts, shared, global_value, state, modes, out_dir, in_memo
     if in_memory:
         return outbox, rows, None if given and not inbox else worker.shards
     return outbox, rows
+
+
+class _Segment(NamedTuple):
+    """The supersteps one resident round task may run (``_run_segment``)."""
+
+    first: int  # the step the round's inbox completes
+    end: int  # the last step it may run: the driver's next sync point
+    last_step: int  # the run's step limit: that step signals nothing
+    eps: float
+    budget_s: Optional[float]  # time left at submission (None: no limit)
+    dense: bool  # the exchange-mode rule's inputs (``_Rounds.mode``)
+    num_vertices: int
+
+
+def _run_segment(worker, inbox, mode_collect, mode_signal, seg: _Segment):
+    """Supersteps ``seg.first..seg.end`` of one worker, back to back in
+    this process: each step collects the outbox of the step before it
+    and signals the next. It stops after the first converged step or
+    after the step that uses up ``seg.budget_s``. The rules are the
+    driver's, called on the same metrics rows: step k+1 signals in the
+    mode picked from step k's manifest (``_exchange_mode``), the run's
+    final step has no signal half, and convergence is
+    ``SuperstepEngine._is_converged``. Returns the last outbox and one
+    metrics-row list per step."""
+    from signal_collect_ray.engine_resident import _exchange_mode
+
+    t0 = time.monotonic()
+    outbox, rows = worker.collect_and_signal(inbox, mode_collect, mode_signal)
+    steps, k = [rows], seg.first
+    while k < seg.end:
+        manifest = SuperstepEngine._manifest(k, rows, None, k - 1)
+        if SuperstepEngine._is_converged(manifest, seg.eps, k) or (
+            seg.budget_s is not None and time.monotonic() - t0 > seg.budget_s
+        ):
+            break
+        k += 1
+        mode_collect, mode_signal = mode_signal, (
+            _exchange_mode(seg.dense, manifest, seg.num_vertices)
+            if k < seg.last_step else None
+        )
+        # one worker: its outbox is its whole next inbox
+        outbox, rows = worker.collect_and_signal([outbox], mode_collect, mode_signal)
+        steps.append(rows)
+    return outbox, steps
 
 
 class _Rounds:
@@ -156,15 +210,16 @@ class _Rounds:
 
         return _exchange_mode(self.dense, manifest, self.num_vertices)
 
-    def submit(self, global_value, states, inbox, modes, out_dir=None):
+    def submit(self, global_value, states, inbox, modes, out_dir=None, segment=None):
         """Submit one round without waiting: ``states`` holds one state
         per worker. Returns one list of refs per return value: the
-        outboxes, the metrics rows and, in memory, the new shards (refs
-        to None after a signal-only round over shards)."""
+        outboxes, the metrics rows (one list per step with a
+        ``segment``) and, in memory, the new shards (refs to None after
+        a signal-only round over shards)."""
         rets = [
             self._remote.remote(
                 w, parts, self.shared, global_value, state, modes, out_dir,
-                self.in_memory, *csr, *(inbox or ()),
+                self.in_memory, segment, *csr, *(inbox or ()),
             )
             for w, (parts, csr, state) in enumerate(zip(self.parts, self.csr, states))
         ]
@@ -643,7 +698,8 @@ class SuperstepEngine:
         return manifest["n_active"] == 0 or manifest["residual_max"] <= eps
 
     @staticmethod
-    def _manifest(k, rows, lineage_base, prev_step, wall_s: float = 0.0) -> dict:
+    def _manifest(k, rows, lineage_base, prev_step, wall_s: float = 0.0,
+                  round_steps: int = 1) -> dict:
         parts = sorted(
             (
                 {
@@ -672,6 +728,9 @@ class SuperstepEngine:
             "superstep": k,
             "prev_step": prev_step,
             "wall_s": wall_s,
+            # supersteps run by the round task that produced this step
+            # (> 1: a one-worker resident segment, ``wall_s`` its average)
+            "round_steps": round_steps,
             "n_vertices": sum(p["n_vertices"] for p in parts),
             "n_active": sum(p["n_active"] for p in parts),
             "residual_max": max((p["residual_max"] for p in parts), default=0.0),

@@ -12,6 +12,16 @@ superstep, while this one keeps each worker's shards in the object
 store — a round returns them as a ref that the next round takes as an
 argument — so no process is started or stopped per run.
 
+With one worker (W = 1) a superstep's barrier exchanges nothing: the
+worker's outbox is its whole next inbox. There a round task runs a
+segment — consecutive supersteps back to back in its process
+(``engine._run_segment``) — up to the next point where the driver must
+act: the step limit, a checkpoint or global-termination multiple, the
+first converged step, or the time limit. The driver then builds one
+manifest per step (``round_steps`` records the segment length, and
+``wall_s`` is the segment's average), so results and checkpoints are
+those of one round per superstep, bit for bit.
+
 Checkpoint shards + manifests use the same format, so a run started
 under one executor resumes under the other. Durability is every
 ``checkpoint_interval`` supersteps (+ always at termination) instead of
@@ -40,7 +50,7 @@ from signal_collect_ray import partition
 from signal_collect_ray.algorithm import Algorithm
 from signal_collect_ray.config import EngineConfig
 from signal_collect_ray.engine import (
-    ExecutionInformation, SuperstepEngine, _Rounds, remote, vertex_files,
+    ExecutionInformation, SuperstepEngine, _Rounds, _Segment, remote, vertex_files,
 )
 from signal_collect_ray.util import part_of
 
@@ -667,42 +677,56 @@ class ResidentEngine:
         per_step, k, last, converged = ns.per_step, ns.k, ns.last, ns.converged
         reason = "Converged" if converged else None
 
-        # Fused loop: ONE round per superstep. Step k's signal phase runs
-        # inside the same task that collects step k-1, so the mode for
-        # step k+1's signals is decided from manifest k-1 (one step
-        # stale — mode choice affects only performance). Outbox and
-        # state refs are never fetched on the driver — each round's
-        # tasks take them as arguments straight from the object store.
+        # Fused loop: step k's signal phase runs inside the same task that
+        # collects step k-1, so the mode for step k+1's signals is decided
+        # from manifest k-1 (one step stale — mode choice affects only
+        # performance). Outbox and state refs are never fetched on the
+        # driver — each round's tasks take them as arguments straight
+        # from the object store.
         sig_refs = None
         pending_mode = None
         if not converged:
             pending_mode = rounds.mode(last)
             sig_refs, _, _ = rounds.submit(None, states, None, (None, pending_mode))
-        # Sync batching: rounds are SUBMITTED without fetching metrics —
-        # round r+1 takes round r's outbox and state refs, so Ray chains
-        # the supersteps task-to-task and the driver pays ONE metrics
-        # fetch per `eff_int` rounds instead of one blocking barrier per
-        # superstep (the dominant cost of small supersteps under
-        # scheduler jitter). Every round's state is its own immutable
+        # Segments: with one worker (W = 1) there is nothing to exchange —
+        # its outbox is its whole next inbox — so ONE round task runs the
+        # supersteps up to the next point where the driver must act (the
+        # step limit, a checkpoint or global-termination multiple) back
+        # to back in its process, stopping early at the first converged
+        # step or once the time left at submission is used up
+        # (engine._run_segment). At W > 1 a round is one superstep.
+        # Sync batching (W > 1): rounds are SUBMITTED without fetching
+        # metrics — round r+1 takes round r's outbox and state refs, so
+        # Ray chains the supersteps task-to-task and the driver pays ONE
+        # metrics fetch per `eff_int` rounds instead of one blocking
+        # barrier per superstep. Every round's state is its own immutable
         # ref, so the result stays exact: the run ends at the first
         # converged round of a batch, and the rounds submitted past it
-        # are dropped. Checkpoints and global-termination checks force
-        # the sync cadence down to their own intervals.
-        eff_int = max(1, ns.conv_int)
+        # are dropped. A segment is always synced: its end is only known
+        # from its metrics.
+        eff_int = max(1, ns.conv_int) if rounds.W > 1 else 1
+        # step multiples the driver observes exactly
+        cadences = [n for n in (
+            ckpt_int,
+            global_termination is not None and max(global_termination.interval, 1),
+        ) if n]
 
         def _must_sync(kk: int) -> bool:
-            # batch boundary, end of run, or a cadence the user asked to
-            # observe exactly (checkpoint / global-termination multiples)
+            # batch boundary, end of run, or a checkpoint / global-
+            # termination multiple
             return (
                 len(pending) >= eff_int
                 or kk >= max_supersteps
-                or (bool(ckpt_int) and kk % ckpt_int == 0)
-                or (
-                    global_termination is not None
-                    and kk % max(global_termination.interval, 1) == 0
-                )
+                or any(kk % n == 0 for n in cadences)
             )
-        pending: List[tuple] = []  # (k, metrics refs, state refs) awaiting sync
+
+        def _segment_end(kk: int) -> int:
+            # the last step the round after step kk may run
+            if rounds.W > 1:
+                return kk + 1
+            return min([max_supersteps] + [(kk // n + 1) * n for n in cadences])
+
+        pending: List[tuple] = []  # (first step, metrics refs, state refs) awaiting sync
 
         def drain_pending():
             nonlocal k, last, states, converged, reason
@@ -710,14 +734,20 @@ class ResidentEngine:
                 return
             t_sync0 = pending_started[0]
             flat = ray.get([r for _, refs, _ in pending for r in refs])
-            per_round_wall = (time.monotonic() - t_sync0) / len(pending)
-            i = 0
-            for kk, refs, kk_states in pending:
-                rows = _flatten(flat[i : i + len(refs)])
+            steps, i = [], 0
+            for first, refs, kk_states in pending:
+                # one metrics-row list per step, per worker
+                by_step = list(zip(*flat[i : i + len(refs)]))
                 i += len(refs)
+                steps += [
+                    (kk, _flatten(rows), len(by_step), kk_states)
+                    for kk, rows in enumerate(by_step, first)
+                ]
+            step_wall = (time.monotonic() - t_sync0) / len(steps)
+            for kk, rows, round_steps, kk_states in steps:
                 manifest = SuperstepEngine._manifest(
                     kk, rows, lineage_base, prev_step=kk - 1,
-                    wall_s=per_round_wall,
+                    wall_s=step_wall, round_steps=round_steps,
                 )
                 per_step.append(manifest)
                 k, last, states = kk, manifest, kk_states
@@ -737,19 +767,29 @@ class ResidentEngine:
                 if not converged:
                     reason = "TimeLimitReached"
                 break
-            k += 1
             if not pending:
                 pending_started[0] = time.monotonic()
+            end = _segment_end(k)
             # the final step's outbox is dead: no signal half
-            next_mode = rounds.mode(last) if k < max_supersteps else None
-            sig_refs, rows, states = rounds.submit(
-                None, states, sig_refs, (pending_mode, next_mode)
+            next_mode = rounds.mode(last) if k + 1 < max_supersteps else None
+            budget = (
+                None if time_limit_s is None
+                else time_limit_s - (time.monotonic() - ns.t0)
             )
-            pending.append((k, rows, states))
-            pending_mode = next_mode
+            sig_refs, rows, states = rounds.submit(
+                None, states, sig_refs, (pending_mode, next_mode),
+                segment=_Segment(k + 1, end, max_supersteps, eps, budget,
+                                 rounds.dense, rounds.num_vertices),
+            )
+            pending.append((k + 1, rows, states))
+            k, pending_mode = end, next_mode
             if not _must_sync(k):
                 continue
             drain_pending()
+            if rounds.W == 1:
+                # the segment's last step signalled in the mode picked
+                # from the manifest before it
+                pending_mode = rounds.mode(per_step[-2]) if k < max_supersteps else None
             if (
                 not converged
                 and global_termination is not None

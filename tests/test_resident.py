@@ -180,13 +180,16 @@ def test_worker_failure_recovers(tmp_path):
         run_resident(_CrashOnce(0, str(tmp_path / "crashed-again")), "fail", no_retry)
 
 
-def test_convergence_check_interval_is_exact(tmp_path):
+@pytest.mark.parametrize("num_workers", [None, 2])
+def test_convergence_check_interval_is_exact(tmp_path, num_workers):
     # batching the metrics fetch must not move an eps run's result: the
-    # run ends at the first converged round, not at the batch boundary
+    # run ends at the first converged round, not at the batch boundary.
+    # The interval has no effect at W = 1 (one segment per sync point);
+    # num_workers=2 keeps the batching path covered.
     g = _graph(tmp_path)
     cfg = EngineConfig(num_partitions=4, eps=1e-6, max_supersteps=300)
     a, b = (
-        ResidentEngine(cfg, num_workers=2).run(
+        ResidentEngine(cfg, num_workers=num_workers).run(
             g, PageRank(), run_dir=str(tmp_path / f"every{i}"), resume=False,
             checkpoint_interval=0, convergence_check_interval=i,
         )
